@@ -9,7 +9,7 @@ commutant algebra that dominates the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -17,13 +17,12 @@ import numpy as np
 from .division import AlgebraType, DivisionStructure, frobenius_recognize
 from .engine import (
     MatrixAlgebra,
+    check_interpolation,
     commutant,
     commutant_of_matrices,
     d_independent_subfamily,
-    expansion_residual,
     is_transitive,
     min_rank,
-    strict_interpolate,
 )
 from .errors import NoSolutionError, NotTransitiveError, RealTypeInputError
 from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares
@@ -62,6 +61,9 @@ class ClassificationReport:
     density_witness: Optional[DensityObstruction]
     envelope_dim: int
     envelope_contains_input: bool
+    # Orthonormal commutant basis the type was read from, kept so that callers
+    # (e.g. the double commutant) need not compute it again.
+    commutant_basis: tuple = field(repr=False, compare=False)
 
 
 def classify_type(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> AlgebraType:
@@ -98,6 +100,38 @@ def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
     return DensityObstruction(x=x, unit_image=wx, target=target, margin=float(margin))
 
 
+# Byte budget for the stacked interpolation systems of one batch of density
+# trials; their thin SVD and residuals need a few times as much again.
+# Batching saves per-trial Python overhead, which matters only at small n,
+# where the SVDs are cheap: all 25 default trials fit one batch up to a real
+# n = 10, and from a real n = 20 on each trial is solved alone, as unbatched.
+_DENSITY_BATCH_BYTES = 2 * 2**20
+
+
+def _verify_trials(stack: np.ndarray, batch: list, tol: Tolerance) -> None:
+    """Solve the interpolation systems of a batch of density trials in one
+    batched least-squares solve, and raise the first trial's failure.
+
+    Each trial ``(xs, ys)`` asks for T in the algebra with T xs[i] = ys[i];
+    it is checked as ``strict_interpolate`` checks one system.
+    """
+    if not batch:
+        return
+    xs = np.stack([x for x, _ in batch])
+    ys = np.stack([y for _, y in batch])
+    trials, m, n = xs.shape
+    # Row i*n + r, column j of a trial's system is (B_j xs[i])_r.
+    systems = np.tensordot(xs, stack, axes=([2], [2])).transpose(0, 1, 3, 2)
+    systems = systems.reshape(trials, m * n, stack.shape[0])
+    rhs = ys.reshape(trials, m * n)
+    coeffs, _ = solve_least_squares(systems, rhs, tol)
+    residuals = (systems @ coeffs[..., None])[..., 0] - rhs
+    worst = np.linalg.norm(residuals.reshape(trials, m, n), axis=2).max(axis=1)
+    max_y = np.linalg.norm(ys, axis=2).max(axis=1)
+    for w, y in zip(worst, max_y):
+        check_interpolation(float(w), float(y), tol)
+
+
 def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
                    trials: int = 25, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
@@ -105,6 +139,8 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     Verification: for ``trials`` seeded random instances, a family of k*n
     independent vectors is reduced greedily to n vectors independent over the
     commutant, and the interpolation onto random targets must solve exactly.
+    The trials' systems are solved in batches; a failure is raised for the
+    first failing trial, as if the trials ran one by one.
     For k > 1 an infeasible witness pair is produced as well.
 
     Returns ``(k, witness_or_None)``.
@@ -113,25 +149,38 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     n = algebra.ambient_dim
     units = list(structure.units)
     rng = np.random.default_rng(seed)
+    stack = algebra.stack()
 
     n_targets = n // k
-    for _ in range(trials):
+    batch_size = max(1, _DENSITY_BATCH_BYTES // (8 * n_targets * n * algebra.dim))
+    batch = []
+    for trial in range(trials):
         family = rng.standard_normal((k * n_targets, n))
         picked = d_independent_subfamily(family, units, tol, need=n_targets)
         if len(picked) < n_targets:
+            _verify_trials(stack, batch, tol)  # earlier trials fail first
             raise NoSolutionError(
                 "could not extract a commutant-independent subfamily; "
                 "structure units inconsistent with the algebra"
             )
         targets = rng.standard_normal((n_targets, n))
         targets /= np.linalg.norm(targets, axis=1)[:, None]
-        pairs = [(family[i], y) for i, y in zip(picked, targets)]
-        strict_interpolate(algebra, pairs, tol)  # raises NoSolutionError on failure
+        batch.append((family[picked], targets))
+        if len(batch) == batch_size or trial == trials - 1:
+            _verify_trials(stack, batch, tol)
+            batch = []
 
     witness = None
     if k > 1:
         witness = _obstruction_witness(algebra, structure, tol, seed)
     return k, witness
+
+
+def _envelope_vecs(structure: DivisionStructure, n: int, tol: Tolerance) -> np.ndarray:
+    """Orthonormal rows, as vectorized n x n matrices, spanning the envelope."""
+    if structure.type is AlgebraType.REAL:
+        return np.eye(n * n)
+    return np.stack(commutant_of_matrices(list(structure.units), tol)).reshape(-1, n * n)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -148,41 +197,41 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
         raise NotTransitiveError("envelope requires a transitive algebra",
                                  witness=report.witness)
     n = algebra.ambient_dim
-    if structure.type is AlgebraType.REAL:
-        if not allow_real:
-            raise RealTypeInputError(
-                "real-type envelope is the full matrix algebra; pass allow_real=True"
-            )
-        basis = [np.zeros((n, n)) for _ in range(n * n)]
-        for idx in range(n * n):
-            basis[idx].reshape(-1)[idx] = 1.0
-        return MatrixAlgebra(ambient_dim=n, basis=tuple(basis), unital=True)
-    basis = commutant_of_matrices(list(structure.units), tol)
-    return MatrixAlgebra(ambient_dim=n, basis=tuple(basis), unital=True)
+    if structure.type is AlgebraType.REAL and not allow_real:
+        raise RealTypeInputError(
+            "real-type envelope is the full matrix algebra; pass allow_real=True"
+        )
+    basis = tuple(v.reshape(n, n) for v in _envelope_vecs(structure, n, tol))
+    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=True)
 
 
 def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
              density_trials: int = 25, seed: int = 0) -> ClassificationReport:
-    """Full classification pipeline for a transitive algebra."""
+    """Full classification pipeline for a transitive algebra.
+
+    Transitivity is probed once and the commutant computed once; the report
+    carries that commutant basis.
+    """
     report = is_transitive(algebra, tol, seed=seed)
     if not report.transitive:
         raise NotTransitiveError("algebra has a nontrivial invariant subspace",
                                  witness=report.witness)
-    structure = frobenius_recognize(commutant(algebra, tol), tol)
+    comm = commutant(algebra, tol)
+    structure = frobenius_recognize(comm, tol)
     rank = min_rank(algebra, structure, tol)
     k, witness = density_degree(algebra, structure, density_trials, tol, seed)
-    env = envelope(algebra, structure, tol, allow_real=True)
-    env_vecs = env.vec_basis()
-    contains = all(
-        expansion_residual(b, env_vecs, tol) <= tol.cutoff(1.0) * 1e3
-        for b in algebra.basis
-    )
+    env = _envelope_vecs(structure, algebra.ambient_dim, tol)
+    vecs = algebra.vec_basis()
+    residuals = np.linalg.norm(vecs - (vecs @ env.T) @ env, axis=1)
+    scales = np.maximum(1.0, np.linalg.norm(vecs, axis=1))
+    contains = bool(np.all(residuals / scales <= tol.cutoff(1.0) * 1e3))
     return ClassificationReport(
         type=structure.type,
         commutant_dim=structure.commutant_dim,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
-        envelope_dim=env.dim,
+        envelope_dim=env.shape[0],
         envelope_contains_input=contains,
+        commutant_basis=tuple(comm),
     )

@@ -169,9 +169,8 @@ def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
             "target": vector_to_json(report.density_witness.target),
             "margin": report.density_witness.margin,
         }
-    comm = commutant(algebra, tol)
     double_comm = commutant(
-        MatrixAlgebra(algebra.ambient_dim, tuple(comm), unital=True), tol)
+        MatrixAlgebra(algebra.ambient_dim, report.commutant_basis, unital=True), tol)
     return {
         "algebra_dim": algebra.dim,
         "unital": algebra.unital,

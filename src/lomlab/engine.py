@@ -38,6 +38,7 @@ from .numeric import (
     orthonormal_rows,
     rank_of,
     solve_least_squares,
+    svd,
 )
 
 __all__ = [
@@ -212,7 +213,7 @@ def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
         # row-major vec: vec(X B) = (I (x) B^T) vec X, vec(B X) = (B (x) I) vec X
         blocks.append(np.kron(eye, bb.T) - np.kron(bb, eye))
     stacked = np.vstack(blocks)
-    _, s, vt = np.linalg.svd(stacked)
+    _, s, vt = svd(stacked, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
@@ -343,14 +344,24 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
     target = np.concatenate(rhs)
     coeffs, _ = solve_least_squares(system, target, tol)
     t = algebra.element(coeffs)
-    threshold = max(tol.abs_eps, tol.rel_eps * max_y)
     worst = max(float(np.linalg.norm(t @ as_vector(x) - as_vector(y))) for x, y in pairs)
+    check_interpolation(worst, max_y, tol)
+    return t
+
+
+def check_interpolation(worst: float, max_y: float, tol: Tolerance = DEFAULT_TOL) -> None:
+    """Raise NoSolutionError unless an interpolation counts as exact.
+
+    ``worst`` is the largest per-pair residual ``||T x_i - y_i||`` and
+    ``max_y`` the largest target norm; the residual is accepted up to
+    ``max(abs_eps, rel_eps * max_y)``.
+    """
+    threshold = max(tol.abs_eps, tol.rel_eps * max_y)
     if worst > threshold:
         raise NoSolutionError(
             f"interpolation infeasible (residual {worst:.3e} > {threshold:.3e})",
             residual=worst,
         )
-    return t
 
 
 def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,

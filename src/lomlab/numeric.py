@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NonFiniteError, ShapeMismatchError
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "VectorSpace",
     "as_matrix",
     "as_vector",
     "rank_of",
@@ -48,15 +48,26 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class VectorSpace:
-    """The ambient space R^dim."""
+def svd(a, full_matrices: bool = True, compute_uv: bool = True):
+    """``np.linalg.svd``, retried with LAPACK ``gesvd`` where it fails.
 
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+    numpy uses the divide-and-conquer routine ``gesdd``, which on rare inputs
+    stops with "SVD did not converge" although the QR-iteration routine
+    ``gesvd`` converges on the same matrix.  Only those inputs take the
+    retry, so every other result keeps its bits.  Leading batch axes are
+    allowed, as in numpy.
+    """
+    try:
+        return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        arr = np.asarray(a, dtype=float)
+        if arr.ndim > 2:
+            parts = [svd(m, full_matrices, compute_uv) for m in arr]
+            if not compute_uv:
+                return np.stack(parts)
+            return tuple(np.stack(p) for p in zip(*parts))
+        return scipy.linalg.svd(arr, full_matrices=full_matrices, compute_uv=compute_uv,
+                                lapack_driver="gesvd")
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
@@ -84,7 +95,7 @@ def as_vector(v) -> np.ndarray:
 def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the tolerance cutoff."""
     a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = svd(a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.cutoff(s[0])))
@@ -96,7 +107,7 @@ def nullspace_of(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     k equals ``cols - rank_of(m)``; an empty (n, 0) array means trivial kernel.
     """
     a = as_matrix(m)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = svd(a)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
@@ -110,28 +121,37 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
     Returns ``(x, residual)`` with ``residual = ||a x - b||`` (Frobenius norm
     when b has several columns).  Singular values below the tolerance cutoff
     are discarded, which is what makes the solution the minimum-norm one.
+
+    ``a`` may carry one leading batch axis, shape ``(batch, rows, cols)``,
+    with ``b`` of shape ``(batch, rows)`` or ``(batch, rows, k)``: each system
+    is solved on its own, with its own cutoff, and ``residual`` is then an
+    array of ``batch`` norms.
     """
-    am = as_matrix(a)
+    am = np.array(a, dtype=float)
+    if am.ndim not in (2, 3) or 0 in am.shape[-2:]:
+        raise ShapeMismatchError(f"expected a matrix or a batch of matrices, got shape {am.shape}")
+    if not np.all(np.isfinite(am)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
     barr = np.array(b, dtype=float)
     if not np.all(np.isfinite(barr)):
         raise NonFiniteError("right-hand side contains NaN or Inf entries")
-    vector_rhs = barr.ndim == 1
-    bm = barr.reshape(-1, 1) if vector_rhs else barr
-    if bm.shape[0] != am.shape[0]:
+    vector_rhs = barr.ndim == am.ndim - 1
+    bm = barr[..., None] if vector_rhs else barr
+    if bm.shape[:-1] != am.shape[:-1]:
         raise ShapeMismatchError(
-            f"row counts disagree: {am.shape[0]} vs {bm.shape[0]}"
+            f"row counts disagree: {am.shape[:-1]} vs {bm.shape[:-1]}"
         )
-    u, s, vt = np.linalg.svd(am, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = s > tol.cutoff(s[0])
+    u, s, vt = svd(am, full_matrices=False)
+    s_max = s[..., :1]
+    keep = (s_max > 0.0) & (s > np.maximum(tol.abs_eps, tol.rel_eps * s_max))
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    x = np.swapaxes(vt, -1, -2) @ (inv_s[..., None] * (np.swapaxes(u, -1, -2) @ bm))
+    if am.ndim == 2:
+        residual = float(np.linalg.norm(am @ x - bm))
     else:
-        keep = np.zeros_like(s, dtype=bool)
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    x = vt.T @ (inv_s[:, None] * (u.T @ bm))
-    residual = float(np.linalg.norm(am @ x - bm))
+        residual = np.linalg.norm(am @ x - bm, axis=(-2, -1))
     if vector_rhs:
-        x = x[:, 0]
+        x = x[..., 0]
     return x, residual
 
 
@@ -140,7 +160,7 @@ def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.size == 0:
         return a.reshape(0, a.shape[-1] if a.ndim == 2 else 0)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = svd(a)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:

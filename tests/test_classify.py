@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,25 @@ from conftest import planted_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, classify_type, density_degree, envelope
 from lomlab.division import (
     AlgebraType,
+    DivisionStructure,
     Quaternion,
     embed_complex,
     embed_quaternion,
     frobenius_recognize,
 )
-from lomlab.engine import MatrixAlgebra, commutant, generate_algebra, min_rank
-from lomlab.errors import NotTransitiveError, RealTypeInputError
+from lomlab.engine import (
+    MatrixAlgebra,
+    commutant,
+    d_independent_subfamily,
+    generate_algebra,
+    min_rank,
+    strict_interpolate,
+)
+from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
 from lomlab.numeric import solve_least_squares
+
+# The module, not the function of the same name that the package exports.
+classify_module = importlib.import_module("lomlab.classify")
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -120,6 +133,63 @@ def test_density_witness_infeasibility_is_real():
     _, residual = solve_least_squares(system, rhs)
     assert residual == pytest.approx(witness.margin * np.linalg.norm(witness.target),
                                      abs=1e-12)
+
+
+def trial_by_trial_failure(algebra, structure, trials, seed=0):
+    """The first NoSolutionError of the density trials, each solved on its own
+    with ``strict_interpolate`` (the reference for the batched solve)."""
+    k, n = structure.commutant_dim, algebra.ambient_dim
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        family = rng.standard_normal((n, n))
+        picked = d_independent_subfamily(family, list(structure.units), need=n // k)
+        targets = rng.standard_normal((n // k, n))
+        targets /= np.linalg.norm(targets, axis=1)[:, None]
+        try:
+            strict_interpolate(algebra, list(zip(family[picked], targets)))
+        except NoSolutionError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("batch_bytes", [None, 1])
+def test_density_mismatched_structure_fails_like_single_trials(
+        corpus_algebras, monkeypatch, batch_bytes):
+    if batch_bytes is not None:  # one trial per batch
+        monkeypatch.setattr(classify_module, "_DENSITY_BATCH_BYTES", batch_bytes)
+    alg, _ = corpus_algebras["complex_m2_plain"]
+    wrong = DivisionStructure(AlgebraType.REAL, ())
+    with pytest.raises(NoSolutionError) as exc:
+        density_degree(alg, wrong, trials=5)
+    assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-3
+    reference = trial_by_trial_failure(alg, wrong, trials=5)
+    assert exc.value.residual == pytest.approx(reference.residual, rel=1e-9)
+
+
+def test_density_zero_trials(corpus_algebras):
+    alg, _ = corpus_algebras["complex_m2_plain"]
+    structure = frobenius_recognize(commutant(alg))
+    k, witness = density_degree(alg, structure, trials=0)
+    assert k == 2 and witness.margin >= 0.1
+    assert density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=0) == (1, None)
+
+
+def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypatch):
+    alg, _ = corpus_algebras["complex_m2_plain"]
+    calls = []
+
+    def short_on_third_trial(vectors, units, tol, need=None):
+        calls.append(need)
+        picked = d_independent_subfamily(vectors, units, tol, need)
+        return picked[:-1] if len(calls) == 3 else picked
+
+    monkeypatch.setattr(classify_module, "d_independent_subfamily", short_on_third_trial)
+    structure = frobenius_recognize(commutant(alg))
+    with pytest.raises(NoSolutionError, match="could not extract"):
+        density_degree(alg, structure, trials=5)
+    calls.clear()
+    with pytest.raises(NoSolutionError, match="interpolation infeasible"):
+        density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=5)
 
 
 # --- envelope -------------------------------------------------------------------

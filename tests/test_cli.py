@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -31,6 +32,22 @@ def minimal_pcs(tmp_path, **extra):
                "seed": 0, "tolerance": {"rel_eps": 1e-9, "abs_eps": 1e-12}}
     payload.update(extra)
     return write_json(tmp_path, "pcs.json", payload)
+
+
+def test_run_instance_computes_each_fact_once(corpus, monkeypatch):
+    calls = {"is_transitive": 0, "commutant": 0}
+    modules = [importlib.import_module(name) for name in ("lomlab.classify", "lomlab.cli")]
+    for module in modules:
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    report = run_instance(corpus["quat_m2_plain"])
+    assert report["error"] is None
+    # one probe; the algebra's commutant and the double commutant
+    assert calls == {"is_transitive": 1, "commutant": 2}
 
 
 # --- parsing -----------------------------------------------------------------

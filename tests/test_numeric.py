@@ -8,12 +8,12 @@ from lomlab.errors import NonFiniteError, ShapeMismatchError
 from lomlab.numeric import (
     DEFAULT_TOL,
     Tolerance,
-    VectorSpace,
     as_matrix,
     nullspace_of,
     orthonormal_rows,
     rank_of,
     solve_least_squares,
+    svd,
 )
 
 small_matrices = arrays(
@@ -28,12 +28,6 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(abs_eps=-1.0)
     assert Tolerance(rel_eps=1e-6).cutoff(100.0) == pytest.approx(1e-4)
-
-
-def test_vector_space():
-    assert VectorSpace(3).dim == 3
-    with pytest.raises(ValueError):
-        VectorSpace(0)
 
 
 def test_rank_examples():
@@ -149,3 +143,56 @@ def test_orthonormal_rows():
     q = orthonormal_rows(stacked)
     assert q.shape == (3, 6)
     assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
+
+
+def test_lstsq_batch_matches_single_solves():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 6, 4))
+    a[1, :, 3] = a[1, :, 0]  # rank deficient: its own cutoff drops a direction
+    b = rng.standard_normal((3, 6))
+    x, res = solve_least_squares(a, b)
+    assert x.shape == (3, 4) and res.shape == (3,)
+    for i in range(3):
+        xi, ri = solve_least_squares(a[i], b[i])
+        assert np.allclose(x[i], xi, atol=1e-12)
+        assert res[i] == pytest.approx(ri, abs=1e-12)
+    with pytest.raises(ShapeMismatchError):
+        solve_least_squares(a, b[:2])
+
+
+def flaky_svd(monkeypatch, failures):
+    """Make ``np.linalg.svd`` raise LinAlgError on its first ``failures`` calls."""
+    real_svd = np.linalg.svd
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    return calls
+
+
+def test_svd_retries_with_gesvd(monkeypatch):
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 6))
+    calls = flaky_svd(monkeypatch, failures=1)
+    q = orthonormal_rows(np.vstack([m, m, 2 * m]))
+    assert len(calls) == 1  # the retry ran through scipy's gesvd
+    assert q.shape == (3, 6)
+    assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
+    assert np.allclose(m @ q.T @ q, m, atol=1e-12)  # same row space
+
+
+def test_svd_retry_keeps_batches(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 5, 3))
+    want = [np.linalg.svd(m, compute_uv=False) for m in a]
+    calls = flaky_svd(monkeypatch, failures=1)
+    u, s, vt = svd(a, full_matrices=False)
+    assert len(calls) == 3  # the batch, then each matrix on its own
+    for i, ws in enumerate(want):
+        assert np.allclose(s[i], ws, atol=1e-12)
+        assert np.allclose(u[i] * s[i] @ vt[i], a[i], atol=1e-12)
