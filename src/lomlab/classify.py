@@ -17,7 +17,6 @@ import numpy as np
 from .division import AlgebraType, DivisionStructure, frobenius_recognize
 from .engine import (
     MatrixAlgebra,
-    check_interpolation,
     commutant,
     commutant_of_matrices,
     d_independent_subfamily,
@@ -25,7 +24,7 @@ from .engine import (
     min_rank,
 )
 from .errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares
+from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares, svd
 
 __all__ = [
     "DensityObstruction",
@@ -85,7 +84,7 @@ def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
     """
     n = algebra.ambient_dim
     w = structure.units[0]
-    u, _, _ = np.linalg.svd(w)
+    u, _, _ = svd(w)
     target = u[:, -1]  # left singular vector of the smallest singular value
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -129,7 +128,7 @@ def _verify_trials(stack: np.ndarray, batch: list, tol: Tolerance) -> None:
     worst = np.linalg.norm(residuals.reshape(trials, m, n), axis=2).max(axis=1)
     max_y = np.linalg.norm(ys, axis=2).max(axis=1)
     for w, y in zip(worst, max_y):
-        check_interpolation(float(w), float(y), tol)
+        tol.check_interpolation(float(w), float(y))
 
 
 def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -224,7 +223,7 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     vecs = algebra.vec_basis()
     residuals = np.linalg.norm(vecs - (vecs @ env.T) @ env, axis=1)
     scales = np.maximum(1.0, np.linalg.norm(vecs, axis=1))
-    contains = bool(np.all(residuals / scales <= tol.cutoff(1.0) * 1e3))
+    contains = bool(np.all(tol.residual_ok(residuals / scales)))
     return ClassificationReport(
         type=structure.type,
         commutant_dim=structure.commutant_dim,

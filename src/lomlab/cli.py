@@ -83,10 +83,6 @@ def tolerance_from_json(obj) -> Tolerance:
         raise ParseError(f"malformed tolerance: {exc}") from exc
 
 
-def tolerance_to_json(tol: Tolerance) -> dict:
-    return {"rel_eps": tol.rel_eps, "abs_eps": tol.abs_eps}
-
-
 def sequence_from_json(obj) -> DimSequence:
     """Dimension sequence from either explicit dims or a floor-power recipe."""
     if not isinstance(obj, dict):
@@ -115,10 +111,6 @@ def sequence_from_json(obj) -> DimSequence:
     if shift:
         seq = shift_right(seq, shift)
     return seq
-
-
-def sequence_to_json(seq: DimSequence) -> dict:
-    return {"dims": ["inf" if d == INFINITY else int(d) for d in seq.dims]}
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +263,13 @@ def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
     return result
 
 
+# kind -> (operation named in the report, runner)
 _RUNNERS = {
-    "algebra": _run_algebra,
-    "pcs": _run_pcs,
-    "pair": _run_pair,
-    "rep": _run_rep,
-    "ranges": _run_ranges,
-}
-
-_OPERATIONS = {
-    "algebra": "classify",
-    "pcs": "construct",
-    "pair": "construct",
-    "rep": "construct",
-    "ranges": "ranges",
+    "algebra": ("classify", _run_algebra),
+    "pcs": ("construct", _run_pcs),
+    "pair": ("construct", _run_pair),
+    "rep": ("construct", _run_rep),
+    "ranges": ("ranges", _run_ranges),
 }
 
 
@@ -293,6 +278,7 @@ def run_instance(payload: dict, seed_override=None, tol_override=None) -> dict:
     tol = tolerance_from_json(payload.get("tolerance")) if tol_override is None \
         else tol_override
     seed = int(payload["seed"]) if seed_override is None else int(seed_override)
+    operation, runner = _RUNNERS[payload["kind"]]
     start = time.perf_counter()
     report = {
         "instance": {
@@ -301,13 +287,13 @@ def run_instance(payload: dict, seed_override=None, tol_override=None) -> dict:
             "kind": payload["kind"],
             "name": payload.get("name"),
         },
-        "operation": _OPERATIONS[payload["kind"]],
+        "operation": operation,
         "inputs": {k: v for k, v in payload.items() if not k.startswith("_")},
         "seed": seed,
-        "tolerance": tolerance_to_json(tol),
+        "tolerance": {"rel_eps": tol.rel_eps, "abs_eps": tol.abs_eps},
     }
     try:
-        report["result"] = _RUNNERS[payload["kind"]](payload, tol, seed)
+        report["result"] = runner(payload, tol, seed)
         report["error"] = None
     except NotTransitiveError as exc:
         entry = {"error": "NotTransitive", "message": str(exc)}

@@ -26,7 +26,8 @@ from .errors import (
     SingularSystemError,
     SingularTwistError,
 )
-from .numeric import DEFAULT_TOL, Tolerance, as_matrix, as_vector, rank_of, solve_least_squares
+from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector, rank_of,
+                      solve_least_squares, svd)
 
 __all__ = [
     "GROUP_ELEMENTS",
@@ -111,10 +112,10 @@ class PCSOperator:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         scale = max(1.0, float(np.linalg.norm(self.matrix)) ** 2)
-        if self.anti_involution_residual() > tol.cutoff(scale) * self.dim * 10:
+        if not tol.relation_ok(self.anti_involution_residual(), scale, self.dim):
             raise ShapeMismatchError("S^2 + I is not numerically zero")
         eigs = np.linalg.eigvals(self.matrix)
-        if np.min(np.abs(eigs.imag)) < tol.cutoff(1.0) * 10:
+        if np.min(np.abs(eigs.imag)) < tol.spectral_floor(1.0):
             raise ShapeMismatchError("S has a real eigenvalue")
 
 
@@ -148,7 +149,7 @@ class GroupRep:
             np.linalg.norm(self.pi["-1"] + eye),
             self.homomorphism_residual(),
         ]
-        if max(checks) > tol.cutoff(scale) * self.n * 100:
+        if not tol.leak_ok(max(checks), scale, self.n):
             raise ShapeMismatchError(
                 f"group relations violated (residual {max(checks):.3e})"
             )
@@ -181,8 +182,8 @@ class GenericPair:
                 f"subspace dimensions {p} + {q} do not fill the ambient space {n}"
             )
         joint = np.hstack([self.m_basis, self.n_basis])
-        svals = np.linalg.svd(joint, compute_uv=False)
-        if svals[-1] <= tol.cutoff(svals[0]):
+        svals = svd(joint, compute_uv=False)
+        if tol.rank(svals) < n:
             raise NotComplementaryError("subspaces intersect nontrivially")
         coords = np.linalg.solve(joint, np.eye(n))
         proj_m = self.m_basis @ coords[:p]
@@ -244,10 +245,10 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     for basis in (pair.m_basis, pair.n_basis):
         img = u @ basis
         leak = np.linalg.norm((np.eye(n) - basis @ np.linalg.pinv(basis)) @ img)
-        if leak > tol.cutoff(max(1.0, float(np.linalg.norm(img)))) * n * 100:
+        if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), n):
             raise NotInvariantError("subspace is not invariant under the structure unit")
     s = u @ proj_m - u @ proj_n
-    svals = np.linalg.svd(s, compute_uv=False)
+    svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
     return PCSOperator(matrix=s, block_dims=(2,) * (n // 2),
                        norm_schedule=schedule, cond=cond)
@@ -265,8 +266,8 @@ def build_quaternion_rep(m: int, twists=None) -> GroupRep:
         raise ShapeMismatchError("expected one 4x4 twist per block")
     inverses = []
     for t in mats:
-        svals = np.linalg.svd(t, compute_uv=False)
-        if svals[-1] <= 1e-12 * max(1.0, svals[0]):
+        svals = svd(t, compute_uv=False)
+        if svals[-1] <= _TWIST_RCOND * max(1.0, svals[0]):
             raise SingularTwistError("twist matrix is singular")
         inverses.append(np.linalg.inv(t))
     n = 4 * m
@@ -297,7 +298,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, automorphism=None,
         for g in GROUP_ELEMENTS:
             img = tau.pi[g] @ basis
             leak = np.linalg.norm((np.eye(n) - basis @ pinv) @ img)
-            if leak > tol.cutoff(max(1.0, float(np.linalg.norm(img)))) * n * 100:
+            if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), n):
                 raise NotInvariantError(
                     f"subspace is not invariant under tau({g})"
                 )
@@ -338,7 +339,7 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise SingularSystemError("the four functional constraints are dependent")
     rhs = np.array([0.5, 0.0, 0.0, 0.0])
     f, residual = solve_least_squares(rows, rhs, tol)
-    if residual > tol.cutoff(1.0) * 1e3:
+    if not tol.residual_ok(residual):
         raise SingularSystemError("functional constraints are inconsistent")
     return f
 

@@ -56,11 +56,7 @@ class Quaternion:
         return Quaternion(self.a * other, self.b * other,
                           self.c * other, self.d * other)
 
-    def __rmul__(self, other):
-        if isinstance(other, Quaternion):  # pragma: no cover - dispatch safety
-            return quat_mul(other, self)
-        return Quaternion(self.a * other, self.b * other,
-                          self.c * other, self.d * other)
+    __rmul__ = __mul__  # reached only for scalar * quaternion, which commutes
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
@@ -208,10 +204,10 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
         x = _traceless_part(m)
         for u in units:
             x = x - _pure_form(x, u) * u
-        nrm_sq = _pure_form(x, x)
-        if nrm_sq <= (tol.cutoff(scale)) ** 2:
+        nrm = math.sqrt(max(_pure_form(x, x), 0.0))
+        if tol.is_zero(nrm, scale):
             continue
-        units.append(x / math.sqrt(nrm_sq))
+        units.append(x / nrm)
         if len(units) == dim - 1:
             break
     if len(units) != dim - 1:
@@ -221,16 +217,14 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
 
     eye = np.eye(n)
     unit_scale = max(1.0, max(float(np.linalg.norm(u)) for u in units))
-    check2 = tol.cutoff(unit_scale ** 2) * 10 * n
     if dim == 2:
         w = units[0]
-        if np.linalg.norm(w @ w + eye) > check2:
+        if not tol.relation_ok(np.linalg.norm(w @ w + eye), unit_scale ** 2, n):
             raise NotAntiInvolutiveError("rescaled candidate W fails W^2 = -1")
         return DivisionStructure(AlgebraType.COMPLEX, (w,))
 
     i_op, j_op = units[0], units[1]
     k_op = i_op @ j_op
-    check4 = tol.cutoff(unit_scale ** 4) * 10 * n
     square_residuals = [
         np.linalg.norm(i_op @ i_op + eye),
         np.linalg.norm(j_op @ j_op + eye),
@@ -241,7 +235,8 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
         np.linalg.norm(k_op @ k_op + eye),
         np.linalg.norm(i_op @ j_op @ k_op + eye),
     ]
-    if max(square_residuals) > check2 or max(quartic_residuals) > check4:
+    if not (tol.relation_ok(max(square_residuals), unit_scale ** 2, n)
+            and tol.relation_ok(max(quartic_residuals), unit_scale ** 4, n)):
         worst = max(square_residuals + quartic_residuals)
         raise NotAntiInvolutiveError(
             f"candidate units fail the quaternion relations (residual {worst:.3e})"

@@ -13,7 +13,7 @@ reproducible and instances can be processed in parallel by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .numeric import (
+    _CONDITIONING_BUDGET,
+    _CONJUGATE_MATCH,
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
@@ -95,8 +97,7 @@ class MatrixAlgebra:
     def contains(self, m, tol: Tolerance = DEFAULT_TOL):
         """Expand ``m`` in the basis; returns ``(coeffs, residual)``."""
         target = as_matrix(m, square=True).reshape(-1)
-        coeffs, residual = solve_least_squares(self.vec_basis().T, target, tol)
-        return coeffs, residual
+        return solve_least_squares(self.vec_basis().T, target, tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Check linear independence and product closure; returns the worst residual."""
@@ -109,13 +110,13 @@ class MatrixAlgebra:
                 _, res = self.contains(a @ b, tol)
                 scale = max(1.0, float(np.linalg.norm(a @ b)))
                 worst = max(worst, res / scale)
-        if worst > tol.cutoff(1.0) * 1e3:
+        if not tol.residual_ok(worst):
             raise ShapeMismatchError(
                 f"basis span is not closed under products (residual {worst:.3e})"
             )
         if self.unital:
             _, res = self.contains(np.eye(self.ambient_dim), tol)
-            if res / math.sqrt(self.ambient_dim) > tol.cutoff(1.0) * 1e3:
+            if not tol.residual_ok(res / math.sqrt(self.ambient_dim)):
                 raise ShapeMismatchError("unital flag set but identity not in span")
         return worst
 
@@ -185,15 +186,7 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
     basis = tuple(row.reshape(n, n) for row in span)
     ident_res = expansion_residual(np.eye(n), span, tol)
-    unital = ident_res <= tol.cutoff(1.0) * 1e3
-    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=unital)
-
-
-# Inputs conjugated by a similarity of condition kappa carry commutator noise
-# of order kappa^2 * machine-eps; budgeting for kappa up to 1e3 keeps genuine
-# commutant directions (noise floor ~1e-7) clearly inside the nullspace while
-# non-commuting directions stay many orders of magnitude above it.
-_CONDITIONING_BUDGET = 1e3
+    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=tol.residual_ok(ident_res))
 
 
 def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -214,11 +207,7 @@ def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
         blocks.append(np.kron(eye, bb.T) - np.kron(bb, eye))
     stacked = np.vstack(blocks)
     _, s, vt = svd(stacked, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.cutoff(s[0] * _CONDITIONING_BUDGET)))
-    null = vt[rank:]
+    null = vt[tol.rank(s, _CONDITIONING_BUDGET):]
     return [null[j].reshape(n, n) for j in range(null.shape[0])]
 
 
@@ -246,7 +235,7 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
         for x in candidates:
             for b in basis:
                 scale = max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET
-                if np.linalg.norm(x @ b - b @ x) > tol.cutoff(scale) * n * 10:
+                if not tol.relation_ok(np.linalg.norm(x @ b - b @ x), scale, n):
                     offender = b
                     break
             if offender is not None:
@@ -311,7 +300,7 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
         # Re-verify invariance of the deficient subspace directly.
         proj_out = np.eye(n) - span.T @ span
         leak = max(float(np.linalg.norm(proj_out @ (b @ span.T))) for b in stack)
-        if leak > tol.cutoff(1.0) * n * 100:
+        if not tol.leak_ok(leak, 1.0, n):
             continue  # numerically unconfirmed; keep probing
         return TransitivityReport(False, (x.copy(), span.T.copy()), seed)
     return TransitivityReport(True, None, seed)
@@ -345,23 +334,8 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
     coeffs, _ = solve_least_squares(system, target, tol)
     t = algebra.element(coeffs)
     worst = max(float(np.linalg.norm(t @ as_vector(x) - as_vector(y))) for x, y in pairs)
-    check_interpolation(worst, max_y, tol)
+    tol.check_interpolation(worst, max_y)
     return t
-
-
-def check_interpolation(worst: float, max_y: float, tol: Tolerance = DEFAULT_TOL) -> None:
-    """Raise NoSolutionError unless an interpolation counts as exact.
-
-    ``worst`` is the largest per-pair residual ``||T x_i - y_i||`` and
-    ``max_y`` the largest target norm; the residual is accepted up to
-    ``max(abs_eps, rel_eps * max_y)``.
-    """
-    threshold = max(tol.abs_eps, tol.rel_eps * max_y)
-    if worst > threshold:
-        raise NoSolutionError(
-            f"interpolation infeasible (residual {worst:.3e} > {threshold:.3e})",
-            residual=worst,
-        )
 
 
 def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
@@ -381,7 +355,7 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
             continue
         if span is not None:
             resid = np.linalg.norm(xv - span.T @ (span @ xv))
-            if resid <= tol.cutoff(1.0) * nrm * 1e3:
+            if tol.residual_ok(resid, nrm):
                 continue
         picked.append(idx)
         orbit = [xv] + [u @ xv for u in units]
@@ -405,18 +379,17 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     t0 = next((b for b in algebra.basis if np.linalg.norm(b) > tol.abs_eps), None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
-    u, s, _ = np.linalg.svd(t0)
-    r = int(np.count_nonzero(s > tol.cutoff(s[0])))
-    range_basis = [u[:, j] for j in range(r)]
+    u, s, _ = svd(t0)
+    range_basis = list(u[:, :tol.rank(s)].T)
     picked = d_independent_subfamily(range_basis, units, tol)
     zs = [range_basis[i] for i in picked]
     expected = structure.commutant_dim
-    if len(zs) * expected != r:
+    if len(zs) * expected != len(range_basis):
         raise NotTransitiveError(
             "range of the probe element is not a module over the recognized commutant"
         )
     x1, res = solve_least_squares(t0, zs[0], tol)
-    if res > tol.cutoff(1.0) * 1e3:
+    if not tol.residual_ok(res):
         raise NotTransitiveError("cannot solve T0 x = z within the range of T0")
     pairs = [(zs[0], x1)] + [(z, np.zeros(algebra.ambient_dim)) for z in zs[1:]]
     try:
@@ -478,30 +451,30 @@ def riesz_projection(t, cluster, tol: Tolerance = DEFAULT_TOL):
     if not cl:
         raise ClusterNotSeparatedError("empty cluster")
     for c in cl:
-        if min(abs(c.conjugate() - d) for d in cl) > 1e-8 * max(1.0, abs(c)):
+        if min(abs(c.conjugate() - d) for d in cl) > _CONJUGATE_MATCH * max(1.0, abs(c)):
             raise ValueError("cluster must be closed under complex conjugation")
 
     eigs = np.linalg.eigvals(tm)
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    cut = tol.cutoff(scale)
-    if any(abs(c) <= 10 * cut for c in cl):
+    floor = tol.spectral_floor(scale)
+    if any(abs(c) <= floor for c in cl):
         raise ClusterContainsZeroError("cluster contains a point at (or touching) zero")
 
     dists = np.array([min(abs(lam - c) for c in cl) for lam in eigs])
     match_err = max(min(abs(lam - c) for lam in eigs) for c in cl)
-    theta = max(10 * cut, 3 * match_err)
+    theta = max(floor, 3 * match_err)
     matched = dists <= theta
     if not matched.any():
         raise ClusterNotSeparatedError("no eigenvalue matches the cluster")
     unmatched = dists[~matched]
     if unmatched.size:
         sep = float(unmatched.min())
-        if sep < max(10 * cut, 3 * theta):
+        if sep < 3 * theta:
             raise ClusterNotSeparatedError(
                 f"cluster separation {sep:.3e} below the required margin"
             )
     lam_in = eigs[matched]
-    if np.min(np.abs(lam_in)) <= 10 * cut:
+    if np.min(np.abs(lam_in)) <= floor:
         raise ClusterContainsZeroError("a matched eigenvalue is numerically zero")
 
     if matched.all():
@@ -551,13 +524,14 @@ def lift_idempotent(comm_algebra: MatrixAlgebra, j_ideal, w, tol: Tolerance = DE
     scale = max(1.0, max(float(np.linalg.norm(b)) for b in basis))
     for a in basis:
         for b in basis:
-            if np.linalg.norm(a @ b - b @ a) > tol.cutoff(scale) * n * 10:
+            if not tol.relation_ok(np.linalg.norm(a @ b - b @ a), scale, n):
                 raise NotCommutativeError("algebra is not commutative")
 
     wm = as_matrix(w, square=True)
+    w_scale = max(1.0, float(np.linalg.norm(wm)))
     ideal = [as_matrix(j, square=True) for j in j_ideal]
     _, res = comm_algebra.contains(wm, tol)
-    if res > tol.cutoff(max(1.0, float(np.linalg.norm(wm)))) * 1e3:
+    if not tol.residual_ok(res, w_scale):
         raise ValueError("W does not lie in the span of the commutative algebra")
     ideal_vecs = (np.stack([j.reshape(-1) for j in ideal])
                   if ideal else np.zeros((0, n * n)))
@@ -568,24 +542,23 @@ def lift_idempotent(comm_algebra: MatrixAlgebra, j_ideal, w, tol: Tolerance = DE
         return expansion_residual(m, ideal_vecs, tol)
 
     defect = wm @ wm - wm
-    if in_ideal(defect) > tol.cutoff(1.0) * 1e3:
+    if not tol.residual_ok(in_ideal(defect)):
         raise ValueError("W^2 - W does not lie in the ideal span")
     for j in ideal:
         radius = float(np.max(np.abs(np.linalg.eigvals(j))))
-        if radius > tol.cutoff(max(1.0, float(np.linalg.norm(j)))) * 1e3:
+        if not tol.residual_ok(radius, max(1.0, float(np.linalg.norm(j)))):
             raise ValueError("ideal basis element is not nilpotent")
 
     max_steps = math.ceil(math.log2(n)) + 2 if n > 1 else 2
     p = wm.copy()
-    thresh = tol.cutoff(max(1.0, float(np.linalg.norm(wm))))
     for step in range(max_steps + 1):
-        if np.linalg.norm(p @ p - p) <= thresh:
+        if tol.is_zero(np.linalg.norm(p @ p - p), w_scale):
             break
         if step == max_steps:
             raise NoConvergenceError(
                 f"idempotent iteration did not converge in {max_steps} steps"
             )
         p = 3 * (p @ p) - 2 * (p @ p @ p)
-    if in_ideal(p - wm) > tol.cutoff(1.0) * 1e3:
+    if not tol.residual_ok(in_ideal(p - wm)):
         raise NoConvergenceError("lifted idempotent does not differ from W by an ideal element")
     return p

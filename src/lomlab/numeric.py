@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import NoSolutionError, NonFiniteError, ShapeMismatchError
 
 __all__ = [
     "Tolerance",
@@ -27,9 +27,23 @@ __all__ = [
 ]
 
 
+# A similarity of condition kappa amplifies commutator and interpolation noise
+# to ~kappa^2 * machine-eps; budgeting for kappa up to 1e3 keeps genuine
+# commutant directions (noise floor ~1e-7) far below non-commuting ones.
+_CONDITIONING_BUDGET = 1e3
+# A quaternion twist is singular when s_min <= _TWIST_RCOND * max(1, s_max).
+_TWIST_RCOND = 1e-12
+# A cluster point's conjugate is present within _CONJUGATE_MATCH * max(1, |c|).
+_CONJUGATE_MATCH = 1e-8
+
+
 @dataclass(frozen=True)
 class Tolerance:
-    """Zero-test policy: a singular value s is zero iff s <= max(abs_eps, rel_eps * s_max)."""
+    """Zero-test policy: a singular value s is zero iff s <= max(abs_eps, rel_eps * s_max).
+
+    Every threshold in lomlab is a method here; each acceptance test multiplies
+    a cutoff by the rounding error its residual accumulates.
+    """
 
     rel_eps: float = 1e-9
     abs_eps: float = 1e-12
@@ -43,6 +57,50 @@ class Tolerance:
     def cutoff(self, scale: float) -> float:
         """Absolute cutoff for quantities whose natural scale is ``scale``."""
         return max(self.abs_eps, self.rel_eps * float(scale))
+
+    def rank(self, s, budget: float = 1.0):
+        """Count of the descending singular values ``s`` above ``cutoff(s[0] * budget)``;
+        one count per row when ``s`` has a leading batch axis."""
+        if s.ndim == 1:
+            if s.size == 0 or s[0] == 0.0:
+                return 0
+            return int(np.count_nonzero(s > self.cutoff(s[0] * budget)))
+        s_max = s[..., :1] * budget
+        keep = (s_max > 0.0) & (s > np.maximum(self.abs_eps, self.rel_eps * s_max))
+        return np.count_nonzero(keep, axis=-1)
+
+    def is_zero(self, value, scale: float) -> bool:
+        """``value <= cutoff(scale)``: a norm of size ``scale`` with no error to budget."""
+        return value <= self.cutoff(scale)
+
+    def residual_ok(self, residual, scale: float = 1.0):
+        """``residual <= cutoff(1) * scale * 1e3``: a least-squares residual of a
+        quantity of size ``scale``, 1e3 for the solve's rounding (elementwise)."""
+        return residual <= self.cutoff(1.0) * scale * 1e3
+
+    def relation_ok(self, residual, scale: float, n: int) -> bool:
+        """``residual <= cutoff(scale) * n * 10``: a commutator or relation of
+        n x n matrices with products of size ``scale``, each entry a sum of n."""
+        return residual <= self.cutoff(scale) * n * 10
+
+    def leak_ok(self, leak: float, scale: float, n: int) -> bool:
+        """``leak <= cutoff(scale) * n * 100``: a residual formed through a projection
+        or a chain of products (a subspace leak, the quaternion group relations)."""
+        return leak <= self.cutoff(scale) * n * 100
+
+    def spectral_floor(self, scale: float) -> float:
+        """``10 * cutoff(scale)``: eigenvalue moduli and gaps at or below it are zero."""
+        return 10 * self.cutoff(scale)
+
+    def check_interpolation(self, worst: float, max_y: float) -> None:
+        """Raise NoSolutionError unless the worst residual of T x_i = y_i is at most
+        ``cutoff(max_y * _CONDITIONING_BUDGET)``, max_y the largest target norm."""
+        threshold = self.cutoff(max_y * _CONDITIONING_BUDGET)
+        if worst > threshold:
+            raise NoSolutionError(
+                f"interpolation infeasible (residual {worst:.3e} > {threshold:.3e})",
+                residual=worst,
+            )
 
 
 DEFAULT_TOL = Tolerance()
@@ -95,10 +153,7 @@ def as_vector(v) -> np.ndarray:
 def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above the tolerance cutoff."""
     a = as_matrix(m)
-    s = svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.cutoff(s[0])))
+    return tol.rank(svd(a, compute_uv=False))
 
 
 def nullspace_of(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -108,11 +163,7 @@ def nullspace_of(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_matrix(m)
     _, s, vt = svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.cutoff(s[0])))
-    return vt[rank:].T.copy()
+    return vt[tol.rank(s):].T.copy()
 
 
 def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
@@ -142,8 +193,7 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
             f"row counts disagree: {am.shape[:-1]} vs {bm.shape[:-1]}"
         )
     u, s, vt = svd(am, full_matrices=False)
-    s_max = s[..., :1]
-    keep = (s_max > 0.0) & (s > np.maximum(tol.abs_eps, tol.rel_eps * s_max))
+    keep = np.arange(s.shape[-1]) < np.expand_dims(tol.rank(s), -1)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     x = np.swapaxes(vt, -1, -2) @ (inv_s[..., None] * (np.swapaxes(u, -1, -2) @ bm))
     if am.ndim == 2:
@@ -161,8 +211,4 @@ def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return a.reshape(0, a.shape[-1] if a.ndim == 2 else 0)
     _, s, vt = svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol.cutoff(s[0])))
-    return vt[:rank].copy()
+    return vt[:tol.rank(s)].copy()

@@ -281,3 +281,18 @@ def test_classify_integers_similarity_invariant():
     r2 = classify(conj, density_trials=5)
     assert (r1.type, r1.commutant_dim, r1.min_rank, r1.density_degree, r1.envelope_dim) \
         == (r2.type, r2.commutant_dim, r2.min_rank, r2.density_degree, r2.envelope_dim)
+
+
+def test_interpolation_budgets_for_conditioning():
+    # M_6(C) conjugated by a similarity of condition 1e3: the minimal-rank
+    # interpolation residual is ~2e-9, above a threshold without the budget.
+    rng = np.random.default_rng(9)
+    gens = [embed_complex(rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+            for _ in range(2)]
+    u, _, vt = np.linalg.svd(rng.standard_normal((12, 12)))
+    p = u @ np.diag(np.geomspace(1, 1e3, 12)) @ vt
+    pinv = np.linalg.inv(p)
+    alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
+    report = classify(alg)
+    assert report.type is AlgebraType.COMPLEX
+    assert report.min_rank == report.density_degree == 2

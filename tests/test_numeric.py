@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lomlab.errors import NonFiniteError, ShapeMismatchError
+from lomlab.division import embed_complex, frobenius_recognize
+from lomlab.engine import commutant, generate_algebra, min_rank, riesz_projection
+from lomlab.errors import (
+    ClusterContainsZeroError,
+    NoSolutionError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from lomlab.numeric import (
+    _CONDITIONING_BUDGET,
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
@@ -186,6 +194,16 @@ def test_svd_retries_with_gesvd(monkeypatch):
     assert np.allclose(m @ q.T @ q, m, atol=1e-12)  # same row space
 
 
+def test_svd_retry_covers_min_rank(monkeypatch):
+    rng = np.random.default_rng(6)
+    alg = generate_algebra([embed_complex(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+                            for _ in range(2)], include_identity=True)
+    structure = frobenius_recognize(commutant(alg))
+    calls = flaky_svd(monkeypatch, failures=1)
+    assert min_rank(alg, structure) == 2
+    assert calls[0].shape == (4, 4)  # the probe element's SVD took the retry
+
+
 def test_svd_retry_keeps_batches(monkeypatch):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((2, 5, 3))
@@ -196,3 +214,77 @@ def test_svd_retry_keeps_batches(monkeypatch):
     for i, ws in enumerate(want):
         assert np.allclose(s[i], ws, atol=1e-12)
         assert np.allclose(u[i] * s[i] @ vt[i], a[i], atol=1e-12)
+
+
+# --- the tolerance policy at its thresholds -----------------------------------
+
+tolerances = st.builds(Tolerance, rel_eps=st.floats(1e-12, 1e-4), abs_eps=st.floats(0.0, 1e-8))
+sizes = st.floats(1e-3, 1e6)
+above = st.just(True) | st.just(False)
+
+
+def one_ulp_above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+@given(tolerances, sizes, st.integers(2, 5), st.integers(2, 5), above)
+@settings(max_examples=80, deadline=None)
+def test_singular_value_at_cutoff_is_zero(tol, s0, rows, cols, bump):
+    cut = tol.cutoff(s0)  # below s0 for every drawn tolerance
+    second = one_ulp_above(cut) if bump else cut
+    m = np.zeros((rows, cols))
+    m[0, 0], m[1, 1] = s0, second
+    # diagonal input: every SVD path returns these exact singular values
+    for s in (svd(m, compute_uv=False), svd(m)[1], svd(m[None], full_matrices=False)[1][0]):
+        assume(s[0] == s0 and s[1] == second)
+    rank = 2 if bump else 1
+    assert rank_of(m, tol) == rank
+    assert nullspace_of(m, tol).shape[1] == cols - rank
+    assert orthonormal_rows(m, tol).shape[0] == rank
+    b = np.zeros(rows)
+    b[1] = 1.0
+    x, res = solve_least_squares(m, b, tol)
+    xb, resb = solve_least_squares(m[None], b[None], tol)
+    assert np.array_equal(x, xb[0]) and res == resb[0]
+    if bump:
+        assert x[1] == pytest.approx(1.0 / second) and res < 1e-12
+    else:
+        assert x[1] == 0.0 and res == 1.0
+
+
+@given(small_matrices)
+@settings(max_examples=60, deadline=None)
+def test_rank_plus_nullity_is_cols(m):
+    rank = rank_of(m)
+    assert rank + nullspace_of(m).shape[1] == m.shape[1]
+    assert orthonormal_rows(m).shape[0] == rank
+
+
+@given(tolerances, sizes, st.integers(1, 64))
+@settings(max_examples=80, deadline=None)
+def test_policy_accepts_at_threshold_and_rejects_one_ulp_above(tol, scale, n):
+    checks = [
+        (tol.is_zero, (scale,), tol.cutoff(scale)),
+        (tol.residual_ok, (scale,), tol.cutoff(1.0) * scale * 1e3),
+        (tol.relation_ok, (scale, n), tol.cutoff(scale) * n * 10),
+        (tol.leak_ok, (scale, n), tol.cutoff(scale) * n * 100),
+    ]
+    for method, args, threshold in checks:
+        assert method(threshold, *args)
+        assert not method(one_ulp_above(threshold), *args)
+    threshold = tol.cutoff(scale * _CONDITIONING_BUDGET)
+    tol.check_interpolation(threshold, scale)
+    with pytest.raises(NoSolutionError, match="interpolation infeasible"):
+        tol.check_interpolation(one_ulp_above(threshold), scale)
+
+
+@given(tolerances, st.floats(1.0, 1e3))
+@settings(max_examples=40, deadline=None)
+def test_spectral_floor_separates_eigenvalues_from_zero(tol, top):
+    floor = tol.spectral_floor(top)
+    assert floor == 10 * tol.cutoff(top)
+    with pytest.raises(ClusterContainsZeroError):
+        riesz_projection(np.diag([top, floor]), [floor], tol)
+    small = one_ulp_above(floor)
+    proj, _ = riesz_projection(np.diag([top, small]), [small], tol)
+    assert np.allclose(proj, np.diag([0.0, 1.0]))
