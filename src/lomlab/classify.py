@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .division import AlgebraType, DivisionStructure, frobenius_recognize
+from .division import AlgebraType, DivisionStructure
 from .engine import (
     MatrixAlgebra,
-    commutant,
+    commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
     commutant_of_matrices,
     d_independent_subfamily,
     is_transitive,
@@ -65,13 +65,18 @@ class ClassificationReport:
     commutant_basis: tuple = field(repr=False, compare=False)
 
 
-def classify_type(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> AlgebraType:
-    """Type of a transitive algebra, from the dimension of its commutant."""
-    report = is_transitive(algebra, tol)
+def _certified(algebra: MatrixAlgebra, tol: Tolerance, seed: int = 0):
+    """The transitivity report; NotTransitiveError with its witness when it fails."""
+    report = is_transitive(algebra, tol, seed=seed)
     if not report.transitive:
         raise NotTransitiveError("algebra has a nontrivial invariant subspace",
                                  witness=report.witness)
-    return frobenius_recognize(commutant(algebra, tol), tol).type
+    return report
+
+
+def classify_type(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> AlgebraType:
+    """Type of a transitive algebra, from the dimension of its commutant."""
+    return _certified(algebra, tol).structure.type
 
 
 def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -191,10 +196,7 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
     has the same type.  For the real type the envelope is the full matrix
     algebra, returned only when ``allow_real`` is set.
     """
-    report = is_transitive(algebra, tol)
-    if not report.transitive:
-        raise NotTransitiveError("envelope requires a transitive algebra",
-                                 witness=report.witness)
+    _certified(algebra, tol)
     n = algebra.ambient_dim
     if structure.type is AlgebraType.REAL and not allow_real:
         raise RealTypeInputError(
@@ -208,29 +210,24 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
              density_trials: int = 25, seed: int = 0) -> ClassificationReport:
     """Full classification pipeline for a transitive algebra.
 
-    Transitivity is probed once and the commutant computed once; the report
-    carries that commutant basis.
+    The commutant is computed and recognized once, by the transitivity
+    certificate; the report carries that commutant basis.
     """
-    report = is_transitive(algebra, tol, seed=seed)
-    if not report.transitive:
-        raise NotTransitiveError("algebra has a nontrivial invariant subspace",
-                                 witness=report.witness)
-    comm = commutant(algebra, tol)
-    structure = frobenius_recognize(comm, tol)
-    rank = min_rank(algebra, structure, tol)
-    k, witness = density_degree(algebra, structure, density_trials, tol, seed)
-    env = _envelope_vecs(structure, algebra.ambient_dim, tol)
+    report = _certified(algebra, tol, seed)
+    rank = min_rank(algebra, report.structure, tol)
+    k, witness = density_degree(algebra, report.structure, density_trials, tol, seed)
+    env = _envelope_vecs(report.structure, algebra.ambient_dim, tol)
     vecs = algebra.vec_basis()
     residuals = np.linalg.norm(vecs - (vecs @ env.T) @ env, axis=1)
     scales = np.maximum(1.0, np.linalg.norm(vecs, axis=1))
     contains = bool(np.all(tol.residual_ok(residuals / scales)))
     return ClassificationReport(
-        type=structure.type,
-        commutant_dim=structure.commutant_dim,
+        type=report.structure.type,
+        commutant_dim=report.structure.commutant_dim,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
         envelope_dim=env.shape[0],
         envelope_contains_input=contains,
-        commutant_basis=tuple(comm),
+        commutant_basis=report.commutant,
     )

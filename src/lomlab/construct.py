@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     SingularTwistError,
 )
-from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector, rank_of,
-                      solve_least_squares, svd)
+from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector,
+                      orthonormal_rows, rank_of, solve_least_squares, svd)
 
 __all__ = [
     "GROUP_ELEMENTS",
@@ -231,6 +231,18 @@ def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> Mat
     return MatrixAlgebra(ambient_dim=pcs.dim, basis=tuple(basis), unital=True)
 
 
+def _check_invariant(pair: GenericPair, ops: dict, tol: Tolerance) -> None:
+    """Raise NotInvariantError unless both subspaces of the pair are invariant
+    under every operator in ``ops`` (name -> matrix)."""
+    for basis in (pair.m_basis, pair.n_basis):
+        q = orthonormal_rows(basis.T, tol)
+        for name, op in ops.items():
+            img = op @ basis
+            leak = np.linalg.norm(img - q.T @ (q @ img))
+            if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), pair.ambient_dim):
+                raise NotInvariantError(f"subspace is not invariant under {name}")
+
+
 def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT_TOL) -> PCSOperator:
     """PCS acting as U on M and as -U on N, for complementary U-invariant M, N.
 
@@ -242,11 +254,7 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     if u.shape[0] != n:
         raise ShapeMismatchError("structure unit must match the ambient dimension")
     proj_m, proj_n, cond = pair.decomposition(tol)
-    for basis in (pair.m_basis, pair.n_basis):
-        img = u @ basis
-        leak = np.linalg.norm((np.eye(n) - basis @ np.linalg.pinv(basis)) @ img)
-        if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), n):
-            raise NotInvariantError("subspace is not invariant under the structure unit")
+    _check_invariant(pair, {"the structure unit": u}, tol)
     s = u @ proj_m - u @ proj_n
     svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
@@ -293,15 +301,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, automorphism=None,
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
-    for basis in (pair.m_basis, pair.n_basis):
-        pinv = np.linalg.pinv(basis)
-        for g in GROUP_ELEMENTS:
-            img = tau.pi[g] @ basis
-            leak = np.linalg.norm((np.eye(n) - basis @ pinv) @ img)
-            if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), n):
-                raise NotInvariantError(
-                    f"subspace is not invariant under tau({g})"
-                )
+    _check_invariant(pair, {f"tau({g})": tau.pi[g] for g in GROUP_ELEMENTS}, tol)
     pi = {g: tau.pi[g] @ proj_m + tau.pi[alpha[g]] @ proj_n for g in GROUP_ELEMENTS}
     return GroupRep(n=n, pi=pi)
 

@@ -13,17 +13,20 @@ reproducible and instances can be processed in parallel by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
+from .division import DivisionStructure, frobenius_recognize
 from .errors import (
+    BadDimensionError,
     ClusterContainsZeroError,
     ClusterNotSeparatedError,
     NoConvergenceError,
     NoSolutionError,
+    NotAntiInvolutiveError,
     NotCommutativeError,
     NotTransitiveError,
     SearchExhaustedError,
@@ -36,7 +39,6 @@ from .numeric import (
     Tolerance,
     as_matrix,
     as_vector,
-    nullspace_of,
     orthonormal_rows,
     rank_of,
     solve_least_squares,
@@ -123,16 +125,15 @@ class MatrixAlgebra:
 
 @dataclass(frozen=True)
 class TransitivityReport:
-    """Outcome of the invariant-subspace probe.
-
-    When ``transitive`` is False, ``witness`` is ``(x, W)``: a probe vector x
-    and an orthonormal basis W (columns) of a proper invariant subspace.
-    ``seed`` records the probe seed so the report is reproducible.
-    """
+    """Outcome of the Burnside count, with the commutant's orthonormal basis and its
+    ``structure`` (None: no division algebra).  When not ``transitive``, ``witness`` is
+    None or ``(x, W)``, W orthonormal columns of a leak-checked proper invariant subspace."""
 
     transitive: bool
     witness: Optional[tuple] = None
     seed: int = 0
+    structure: Optional[DivisionStructure] = None
+    commutant: tuple = field(default=(), repr=False, compare=False)
 
 
 def expansion_residual(m, basis_vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -217,7 +218,8 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
     The commutant of the span equals the commutant of any generating subset,
     so for large bases a few pseudo-random combinations are used first and
     every candidate is verified against the full basis; offending basis
-    elements are appended and the computation repeats until clean.
+    elements are appended (at most len(basis)) and the computation repeats
+    until clean.  A repeated offender raises NoConvergenceError.
     """
     n = algebra.ambient_dim
     basis = list(algebra.basis)
@@ -229,81 +231,82 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
         gens = [np.tensordot(rng.standard_normal(len(basis)), stack, axes=1)
                 for _ in range(4)]
 
-    while True:
+    for _ in range(len(basis) + 1):
         candidates = commutant_of_matrices(gens, tol) if gens else []
-        offender = None
-        for x in candidates:
-            for b in basis:
-                scale = max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET
-                if not tol.relation_ok(np.linalg.norm(x @ b - b @ x), scale, n):
-                    offender = b
-                    break
-            if offender is not None:
-                break
+        offender = next((b for x in candidates for b in basis if not tol.relation_ok(
+            np.linalg.norm(x @ b - b @ x),
+            max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET, n)), None)
         if offender is None:
             return candidates
-        gens.append(offender)
-
-
-def _orbit_closure(algebra: MatrixAlgebra, x: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal rows spanning the smallest invariant subspace containing A x
-    (and x itself when the algebra is unital)."""
-    stack = algebra.stack()
-    n = algebra.ambient_dim
-    rows = stack @ x
-    if algebra.unital:
-        rows = np.vstack([rows, x[None, :]])
-    norms = np.linalg.norm(rows, axis=1)
-    rows = rows[norms > tol.abs_eps]
-    if rows.size == 0:
-        return np.zeros((0, n))
-    span = orthonormal_rows(rows / np.linalg.norm(rows, axis=1)[:, None], tol)
-    while 0 < span.shape[0] < n:
-        imgs = np.einsum("bij,rj->bri", stack, span).reshape(-1, n)
-        norms = np.linalg.norm(imgs, axis=1)
-        imgs = imgs[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None]
-        new_span = orthonormal_rows(np.vstack([span, imgs]), tol)
-        if new_span.shape[0] == span.shape[0]:
+        if any(offender is g for g in gens):
             break
-        span = new_span
-    return span
+        gens.append(offender)
+    raise NoConvergenceError("commutant candidates fail to commute with a generator")
+
+
+def _kernel(m: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal kernel columns of ``m`` (rows >= cols), cut with the conditioning budget."""
+    _, s, vt = svd(m, full_matrices=False)
+    return vt[tol.rank(s, _CONDITIONING_BUDGET):].T
+
+
+def _eigenspaces(comm: tuple, n: int, tol: Tolerance, seed: int):
+    """Kernels of c - lambda I, or of c^2 - 2 Re(lambda) c + |lambda|^2 I for a non-real
+    lambda, for 8 seeded random traceless commutant elements c.  If that kernel
+    is everything, j = (c - Re(lambda) I) / Im(lambda) is a complex structure; later
+    draws take c + j c j, which anticommutes with j: real spectrum in M_2(R)."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(n)
+    cstack = np.stack([c - np.trace(c) / n * eye for c in comm])
+    j = np.zeros((n, n))  # no complex structure found yet
+    for _ in range(8):
+        c = np.tensordot(rng.standard_normal(len(comm)), cstack, axes=1)
+        c = c + j @ c @ j
+        eigs = np.linalg.eigvals(c)
+        lam = eigs[0]
+        if abs(lam.imag) <= tol.spectral_floor(float(np.max(np.abs(eigs)))):
+            yield _kernel(c - lam.real * eye, tol)
+        else:
+            yield _kernel(c @ c - 2 * lam.real * c + abs(lam) ** 2 * eye, tol)
+            j = (c - lam.real * eye) / lam.imag
+
+
+def _witness(algebra: MatrixAlgebra, comm: tuple, tol: Tolerance, seed: int):
+    """Leak-checked proper invariant subspace ``(x, W)`` of a non-transitive algebra, x =
+    W[:, 0], or None.  The radical J, the kernel of the trace form tr(b_i b_j) (Dickson),
+    gives J V and the common kernel of J; a semisimple algebra, commutant eigenspaces."""
+    n = algebra.ambient_dim
+    if not any(np.linalg.norm(b) > tol.abs_eps for b in algebra.basis):
+        return np.eye(n)[0], np.eye(n)[:, :1]  # the zero algebra leaves every line invariant
+    stack = algebra.stack()
+    _, s, vt = svd(stack.reshape(algebra.dim, -1) @ stack.transpose(0, 2, 1).reshape(algebra.dim, -1).T)
+    radical = np.tensordot(vt[tol.rank(s, _CONDITIONING_BUDGET):], stack, axes=1)
+    if len(radical):
+        u, s, _ = svd(np.hstack(radical), full_matrices=False)
+        candidates = [u[:, :tol.rank(s, _CONDITIONING_BUDGET)], _kernel(np.vstack(radical), tol)]
+    else:
+        candidates = _eigenspaces(comm, n, tol, seed) if comm else []
+    for w in candidates:
+        imgs = stack @ w
+        leak = float(np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2))))
+        if 0 < w.shape[1] < n and tol.leak_ok(leak, 1.0, n):
+            return w[:, 0], w
+    return None
 
 
 def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
-                  trials: int = 8, seed: int = 0) -> TransitivityReport:
-    """Invariant-subspace probe.
-
-    Orbit closures are computed for every standard basis vector, for each
-    kernel direction of each basis element, and for ``trials`` seeded random
-    unit vectors.  Any deficient orbit closure is a proper invariant subspace
-    and is re-verified directly before being reported as a witness.
-    """
-    n = algebra.ambient_dim
-    probes = [np.eye(n)[i] for i in range(n)]
-    for b in algebra.basis:
-        null = nullspace_of(b, tol)
-        probes.extend(null[:, j] for j in range(null.shape[1]))
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        v = rng.standard_normal(n)
-        probes.append(v / np.linalg.norm(v))
-
-    stack = algebra.stack()
-    for x in probes:
-        span = _orbit_closure(algebra, x, tol)
-        if span.shape[0] == n:
-            continue
-        if span.shape[0] == 0:
-            # A x = 0 with x != 0: the line through x is invariant.
-            witness = (x.copy(), (x / np.linalg.norm(x)).reshape(n, 1))
-            return TransitivityReport(False, witness, seed)
-        # Re-verify invariance of the deficient subspace directly.
-        proj_out = np.eye(n) - span.T @ span
-        leak = max(float(np.linalg.norm(proj_out @ (b @ span.T))) for b in stack)
-        if not tol.leak_ok(leak, 1.0, n):
-            continue  # numerically unconfirmed; keep probing
-        return TransitivityReport(False, (x.copy(), span.T.copy()), seed)
-    return TransitivityReport(True, None, seed)
+                  seed: int = 0) -> TransitivityReport:
+    """Burnside's count: transitive exactly when the commutant is a division algebra D
+    and dim A * dim D = n^2.  The verdict does not depend on ``seed``, which steers
+    only the witness search."""
+    comm = tuple(commutant(algebra, tol))
+    try:
+        structure = frobenius_recognize(comm, tol)
+    except (BadDimensionError, NotAntiInvolutiveError):
+        structure = None
+    if structure is not None and algebra.dim * structure.commutant_dim == algebra.ambient_dim ** 2:
+        return TransitivityReport(True, None, seed, structure, comm)
+    return TransitivityReport(False, _witness(algebra, comm, tol, seed), seed, structure, comm)
 
 
 def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

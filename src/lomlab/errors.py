@@ -51,8 +51,8 @@ class NotAntiInvolutiveError(LomlabError):
 class NotTransitiveError(LomlabError):
     """The algebra has a nontrivial invariant subspace.
 
-    ``witness`` is ``(x, W)`` with ``x`` the probe vector and ``W`` an
-    orthonormal basis (columns) of the invariant subspace, when available.
+    ``witness`` is ``(x, W)`` with ``W`` an orthonormal basis (columns) of the
+    invariant subspace and ``x`` a vector in it, when one was found.
     """
 
     def __init__(self, message, witness=None):

@@ -2,6 +2,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, classify_type, density_degree, envelope
@@ -18,11 +20,12 @@ from lomlab.engine import (
     commutant,
     d_independent_subfamily,
     generate_algebra,
+    is_transitive,
     min_rank,
     strict_interpolate,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from lomlab.numeric import solve_least_squares
+from lomlab.numeric import orthonormal_rows, solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
@@ -69,6 +72,46 @@ def test_classify_type_similarity_invariant():
         conj = planted_algebra(rng, kind, max_ambient=8, cond=1e3)
         assert classify_type(alg).label == kind
         assert classify_type(conj).label == kind
+
+
+def conjugated_reducible_algebra(kind, n, split, p):
+    """The algebra p X p^-1 over X in: block upper-triangular matrices with diagonal
+    blocks of sizes split and n - split ("triangular"), M_split + M_(n - split)
+    ("diagonal"), or M_(n/2) (x) I_2 ("tensor").  Returns the conjugated matrix
+    units that span it, and the algebra with an orthonormal basis, as
+    generate_algebra returns it."""
+    if kind == "tensor":
+        m = n // 2
+        units = [np.kron(np.outer(np.eye(m)[i], np.eye(m)[j]), np.eye(2))
+                 for i in range(m) for j in range(m)]
+    else:
+        units = [np.outer(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(n)
+                 if (i < split or j >= split)
+                 and (kind == "triangular" or (i < split) == (j < split))]
+    mats = [p @ u @ np.linalg.inv(p) for u in units]
+    basis = orthonormal_rows(np.stack([m.reshape(-1) for m in mats]))
+    return mats, MatrixAlgebra(n, tuple(basis.reshape(-1, n, n)), unital=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["triangular", "diagonal", "tensor"]), n=st.integers(2, 8),
+       split=st.integers(1, 7), log_kappa=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
+def test_conjugated_reducible_algebras_are_rejected_with_a_witness(kind, n, split,
+                                                                   log_kappa, seed):
+    n = 2 * (n // 2) if kind == "tensor" else n
+    split = 1 + (split - 1) % (n - 1)
+    rng = np.random.default_rng(seed)
+    mats, alg = conjugated_reducible_algebra(kind, n, split,
+                                             random_similarity(rng, n, 10.0 ** log_kappa))
+    with pytest.raises(NotTransitiveError) as exc:
+        classify_type(alg)
+    _, w = exc.value.witness
+    assert 0 < w.shape[1] < n
+    assert np.allclose(w.T @ w, np.eye(w.shape[1]), atol=1e-10)
+    for m in mats:
+        assert np.linalg.norm(m @ w - w @ (w.T @ m @ w)) <= 1e-6 * np.linalg.norm(m)
+    # the seed steers the witness search, never the verdict
+    assert not is_transitive(alg, seed=seed).transitive
 
 
 # --- density_degree -------------------------------------------------------------

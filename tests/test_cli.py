@@ -36,7 +36,8 @@ def minimal_pcs(tmp_path, **extra):
 
 def test_run_instance_computes_each_fact_once(corpus, monkeypatch):
     calls = {"is_transitive": 0, "commutant": 0}
-    modules = [importlib.import_module(name) for name in ("lomlab.classify", "lomlab.cli")]
+    modules = [importlib.import_module(name)
+               for name in ("lomlab.engine", "lomlab.classify", "lomlab.cli")]
     for module in modules:
         for name in calls:
             if hasattr(module, name):
@@ -46,7 +47,7 @@ def test_run_instance_computes_each_fact_once(corpus, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     report = run_instance(corpus["quat_m2_plain"])
     assert report["error"] is None
-    # one probe; the algebra's commutant and the double commutant
+    # one certificate, which computes the algebra's commutant; the double commutant
     assert calls == {"is_transitive": 1, "commutant": 2}
 
 

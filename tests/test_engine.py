@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import planted_algebra, random_quaternion, random_similarity
+from lomlab import engine
 from lomlab.division import Quaternion, embed_complex, embed_quaternion, frobenius_recognize
 from lomlab.engine import (
     MatrixAlgebra,
@@ -18,6 +19,7 @@ from lomlab.engine import (
 from lomlab.errors import (
     ClusterContainsZeroError,
     ClusterNotSeparatedError,
+    NoConvergenceError,
     NoSolutionError,
     NotCommutativeError,
     NotTransitiveError,
@@ -131,6 +133,16 @@ def test_commutant_verified_on_large_basis():
     alg = planted_algebra(rng, "Real", max_ambient=6)
     comm = commutant(alg)
     assert len(comm) == 1
+
+
+def test_commutant_raises_when_a_candidate_never_commutes(monkeypatch):
+    # A candidate that fails the check against the basis every time must end in
+    # NoConvergenceError, on the small-basis path (n = 2) and the sampled one (n = 3).
+    monkeypatch.setattr(engine, "commutant_of_matrices",
+                        lambda mats, tol=None: [np.triu(np.ones_like(mats[0]), 1)])
+    for n in (2, 3):
+        with pytest.raises(NoConvergenceError):
+            commutant(generate_algebra(matrix_units(n), include_identity=True))
 
 
 # --- transitivity ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source checks that keep lomlab's zero tests in ``numeric``.
 
 Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
-``gesdd`` fails), and every cutoff is taken by a ``Tolerance`` method, so a
-reader learns when lomlab calls a number zero from one class.
+``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
+a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
+from one class.
 """
 
 import ast
@@ -58,5 +59,16 @@ def test_cutoff_is_taken_only_in_numeric():
         for name, tree in modules() if name != "numeric.py"
         for _, call in calls(tree)
         if isinstance(call.func, ast.Attribute) and call.func.attr == "cutoff"
+    ]
+    assert not offenders, offenders
+
+
+def test_pinv_is_not_called_outside_numeric():
+    # numpy's pinv runs its own SVD, outside numeric.svd's retry and Tolerance.rank.
+    offenders = [
+        f"{name}:{call.lineno} in {function}"
+        for name, tree in modules() if name != "numeric.py"
+        for function, call in calls(tree)
+        if dotted(call.func).endswith("linalg.pinv")
     ]
     assert not offenders, offenders
