@@ -9,7 +9,7 @@ commutant algebra that dominates the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,9 +60,6 @@ class ClassificationReport:
     density_witness: Optional[DensityObstruction]
     envelope_dim: int
     envelope_contains_input: bool
-    # Orthonormal commutant basis the type was read from, kept so that callers
-    # (e.g. the double commutant) need not compute it again.
-    commutant_basis: tuple = field(repr=False, compare=False)
 
 
 def _certified(algebra: MatrixAlgebra, tol: Tolerance, seed: int = 0):
@@ -181,10 +178,11 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
 
 
 def _envelope_vecs(structure: DivisionStructure, n: int, tol: Tolerance) -> np.ndarray:
-    """Orthonormal rows, as vectorized n x n matrices, spanning the envelope."""
+    """Orthonormal rows, as vectorized n x n matrices, spanning the envelope.
+    Only I (and J) are imposed: they generate D, so K = IJ adds no constraint."""
     if structure.type is AlgebraType.REAL:
         return np.eye(n * n)
-    return np.stack(commutant_of_matrices(list(structure.units), tol)).reshape(-1, n * n)
+    return np.stack(commutant_of_matrices(list(structure.units[:2]), tol)).reshape(-1, n * n)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -211,7 +209,8 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     """Full classification pipeline for a transitive algebra.
 
     The commutant is computed and recognized once, by the transitivity
-    certificate; the report carries that commutant basis.
+    certificate.  The envelope End_D(V) is the double commutant A'' of a
+    transitive A, so ``envelope_dim`` is also the double commutant's dimension.
     """
     report = _certified(algebra, tol, seed)
     rank = min_rank(algebra, report.structure, tol)
@@ -229,5 +228,4 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
         density_witness=witness,
         envelope_dim=env.shape[0],
         envelope_contains_input=contains,
-        commutant_basis=report.commutant,
     )

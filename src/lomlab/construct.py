@@ -64,19 +64,17 @@ GROUP_UNITS = {
 }
 
 
-def _label_of(q: Quaternion) -> str:
-    for label, unit in GROUP_UNITS.items():
-        if q.isclose(unit):
-            return label
-    raise ValueError(f"{q} is not a group unit")
+# Products and conjugates of the units have entries in {0, +-1} and are exact,
+# so they are looked up, not matched; -0.0 == 0.0 and both hash alike.
+_LABELS = {unit: label for label, unit in GROUP_UNITS.items()}
 
 
 def group_mult(a: str, b: str) -> str:
-    return _label_of(quat_mul(GROUP_UNITS[a], GROUP_UNITS[b]))
+    return _LABELS[quat_mul(GROUP_UNITS[a], GROUP_UNITS[b])]
 
 
 def group_inverse(a: str) -> str:
-    return _label_of(GROUP_UNITS[a].conjugate())
+    return _LABELS[GROUP_UNITS[a].conjugate()]
 
 
 # The automorphism q -> j q j^{-1}: fixes +-1 and +-j, negates +-i and +-k.
@@ -110,13 +108,16 @@ class PCSOperator:
         n = self.dim
         return float(np.linalg.norm(self.matrix @ self.matrix + np.eye(n)))
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
+        """Check S^2 = -I and that S has no real eigenvalue; returns the anti-involution residual."""
+        residual = self.anti_involution_residual()
         scale = max(1.0, float(np.linalg.norm(self.matrix)) ** 2)
-        if not tol.relation_ok(self.anti_involution_residual(), scale, self.dim):
+        if not tol.relation_ok(residual, scale, self.dim):
             raise ShapeMismatchError("S^2 + I is not numerically zero")
         eigs = np.linalg.eigvals(self.matrix)
         if np.min(np.abs(eigs.imag)) < tol.spectral_floor(1.0):
             raise ShapeMismatchError("S has a real eigenvalue")
+        return residual
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,16 @@ class GroupRep:
                     self.pi[g] @ self.pi[h] - self.pi[gh])))
         return worst
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
+        """Check the group relations; returns the homomorphism residual."""
         eye = np.eye(self.n)
         scale = max(1.0, max(float(np.linalg.norm(m)) for m in self.pi.values()) ** 2)
-        checks = [
-            np.linalg.norm(self.pi["1"] - eye),
-            np.linalg.norm(self.pi["-1"] + eye),
-            self.homomorphism_residual(),
-        ]
-        if not tol.leak_ok(max(checks), scale, self.n):
-            raise ShapeMismatchError(
-                f"group relations violated (residual {max(checks):.3e})"
-            )
+        residual = self.homomorphism_residual()
+        worst = max(np.linalg.norm(self.pi["1"] - eye), np.linalg.norm(self.pi["-1"] + eye),
+                    residual)
+        if not tol.leak_ok(worst, scale, self.n):
+            raise ShapeMismatchError(f"group relations violated (residual {worst:.3e})")
+        return residual
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ reproducible and instances can be processed in parallel by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,38 +102,39 @@ class MatrixAlgebra:
         return solve_least_squares(self.vec_basis().T, target, tol)
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
-        """Check linear independence and product closure; returns the worst residual."""
-        vecs = self.vec_basis()
-        if orthonormal_rows(vecs, tol).shape[0] != self.dim:
+        """Check linear independence and product closure; returns the worst residual
+        ||ab - proj(ab)|| / max(1, ||ab||), all products projected onto one orthonormal basis."""
+        n = self.ambient_dim
+        span = orthonormal_rows(self.vec_basis(), tol)
+        if span.shape[0] != self.dim:
             raise ShapeMismatchError("basis is linearly dependent")
-        worst = 0.0
-        for a in self.basis:
-            for b in self.basis:
-                _, res = self.contains(a @ b, tol)
-                scale = max(1.0, float(np.linalg.norm(a @ b)))
-                worst = max(worst, res / scale)
+        stack = self.stack()
+        products = np.einsum("aij,bjk->abik", stack, stack).reshape(-1, n * n)
+        residuals = np.linalg.norm(products - (products @ span.T) @ span, axis=1)
+        scales = np.maximum(1.0, np.linalg.norm(products, axis=1))
+        worst = float(np.max(residuals / scales))
         if not tol.residual_ok(worst):
             raise ShapeMismatchError(
                 f"basis span is not closed under products (residual {worst:.3e})"
             )
         if self.unital:
-            _, res = self.contains(np.eye(self.ambient_dim), tol)
-            if not tol.residual_ok(res / math.sqrt(self.ambient_dim)):
+            eye = np.eye(n).reshape(-1)
+            res = float(np.linalg.norm(eye - (span @ eye) @ span))
+            if not tol.residual_ok(res / math.sqrt(n)):
                 raise ShapeMismatchError("unital flag set but identity not in span")
         return worst
 
 
 @dataclass(frozen=True)
 class TransitivityReport:
-    """Outcome of the Burnside count, with the commutant's orthonormal basis and its
-    ``structure`` (None: no division algebra).  When not ``transitive``, ``witness`` is
+    """Outcome of the Burnside count, with the recognized ``structure`` of the commutant
+    (None: no division algebra).  When not ``transitive``, ``witness`` is
     None or ``(x, W)``, W orthonormal columns of a leak-checked proper invariant subspace."""
 
     transitive: bool
     witness: Optional[tuple] = None
     seed: int = 0
     structure: Optional[DivisionStructure] = None
-    commutant: tuple = field(default=(), repr=False, compare=False)
 
 
 def expansion_residual(m, basis_vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -186,8 +187,9 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
         span = new_span
 
     basis = tuple(row.reshape(n, n) for row in span)
-    ident_res = expansion_residual(np.eye(n), span, tol)
-    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=tol.residual_ok(ident_res))
+    eye = np.eye(n).reshape(-1)
+    ident_res = np.linalg.norm(eye - (span @ eye) @ span) / math.sqrt(n)
+    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=bool(tol.residual_ok(ident_res)))
 
 
 def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -305,8 +307,8 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     except (BadDimensionError, NotAntiInvolutiveError):
         structure = None
     if structure is not None and algebra.dim * structure.commutant_dim == algebra.ambient_dim ** 2:
-        return TransitivityReport(True, None, seed, structure, comm)
-    return TransitivityReport(False, _witness(algebra, comm, tol, seed), seed, structure, comm)
+        return TransitivityReport(True, None, seed, structure)
+    return TransitivityReport(False, _witness(algebra, comm, tol, seed), seed, structure)
 
 
 def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -361,12 +363,12 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
             if tol.residual_ok(resid, nrm):
                 continue
         picked.append(idx)
+        if len(picked) == need:
+            break
         orbit = [xv] + [u @ xv for u in units]
         block = np.stack([o / np.linalg.norm(o) for o in orbit])
         span = block if span is None else np.vstack([span, block])
         span = orthonormal_rows(span, tol)
-        if need is not None and len(picked) == need:
-            break
     return picked
 
 

@@ -124,14 +124,14 @@ def range_weights(seq: DimSequence):
     return [(2.0 ** (-k), seq.dims[k]) for k in range(len(seq.dims))]
 
 
-def _direction_violation(h: DimSequence, k: DimSequence, p: int, m_max: int):
+def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
+                         p: int, m_max: int):
     """First pair (n, m) with sum_{n..m} h > sum_{n-p..m+p} k, else None.
 
-    Only pairs whose windows stay within both materialized horizons are
-    examined.  Returns ``(found_pair_or_None, checked_any)``.
+    ``ph`` and ``pk`` are the prefix sums of h and k.  Only pairs whose windows
+    stay within both materialized horizons are examined.  Returns
+    ``(found_pair_or_None, checked_any)``.
     """
-    ph = h.prefix_sums()
-    pk = k.prefix_sums()
     m_top = min(m_max, h.horizon, k.horizon - p)
     if m_top < 1:
         return None, False
@@ -148,19 +148,15 @@ def _direction_violation(h: DimSequence, k: DimSequence, p: int, m_max: int):
         # n = 0 makes the left window infinite while the right stays finite.
         return (0, 1), True
 
+    # n-candidates with an infinite RHS never violate; skip n <= p when the
+    # right head is infinite, and n = 0 when the left head is infinite (both
+    # infinite: satisfied).
+    skip_low = p + 1 if k.infinite_head else int(h.infinite_head)
     checked = False
     best_n = None
     best_d = None
     for m in range(1, m_top + 1):
         n = m - 1
-        # n-candidates with an infinite RHS never violate; skip n <= p when
-        # the right head is infinite, and n = 0 when the left head is infinite
-        # (both infinite: satisfied).
-        skip_low = 0
-        if k.infinite_head:
-            skip_low = p + 1
-        elif h.infinite_head:
-            skip_low = 1
         if n >= skip_low:
             dn = d_val(n)
             if best_d is None or dn < best_d:
@@ -189,17 +185,18 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
         raise ValueError("horizon must be at least 2")
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
+    ph = h.prefix_sums()
+    pk = k.prefix_sums()
     for p in range(p_max + 1):
-        fail_hk, checked_hk = _direction_violation(h, k, p, horizon)
-        fail_kh, checked_kh = _direction_violation(k, h, p, horizon)
+        fail_hk, checked_hk = _direction_violation(h, k, ph, pk, p, horizon)
+        fail_kh, checked_kh = _direction_violation(k, h, pk, ph, p, horizon)
         if fail_hk is None and fail_kh is None and checked_hk and checked_kh:
             return IsoVerdict("isomorphic", p=p, p_max=p_max, horizon=horizon)
-    fail_hk, _ = _direction_violation(h, k, p_max, horizon)
+    # The loop ended at p = p_max; its two results decide the witness.
     if fail_hk is not None:
         n, m = fail_hk
         return IsoVerdict("non_isomorphic", witness=(n, m, "left_exceeds_right"),
                           p_max=p_max, horizon=horizon)
-    fail_kh, _ = _direction_violation(k, h, p_max, horizon)
     if fail_kh is not None:
         n, m = fail_kh
         return IsoVerdict("non_isomorphic", witness=(n, m, "right_exceeds_left"),

@@ -17,6 +17,7 @@ from lomlab.cli import (
     run_instance,
     sequence_from_json,
 )
+from lomlab.construct import GroupRep, PCSOperator
 from lomlab.errors import ParseError
 from lomlab.ranges import INFINITY
 
@@ -48,7 +49,22 @@ def test_run_instance_computes_each_fact_once(corpus, monkeypatch):
     report = run_instance(corpus["quat_m2_plain"])
     assert report["error"] is None
     # one certificate, which computes the algebra's commutant; the double commutant
-    assert calls == {"is_transitive": 1, "commutant": 2}
+    # is the envelope classify already built
+    assert calls == {"is_transitive": 1, "commutant": 1}
+
+
+def test_run_instance_computes_each_residual_once(corpus, monkeypatch):
+    calls = []
+    for cls, name in ((GroupRep, "homomorphism_residual"),
+                      (PCSOperator, "anti_involution_residual")):
+        def counted(self, _fn=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _fn(self)
+        monkeypatch.setattr(cls, name, counted)
+    for name in ("rep_twisted", "pair_tilted"):
+        assert run_instance(corpus[name])["error"] is None
+    # validate checks the residual and returns it for the report
+    assert calls == ["homomorphism_residual", "anti_involution_residual"]
 
 
 # --- parsing -----------------------------------------------------------------

@@ -6,6 +6,7 @@ from lomlab.classify import classify_type
 from lomlab.construct import (
     CONJUGATION_BY_J,
     GROUP_ELEMENTS,
+    GROUP_UNITS,
     GenericPair,
     build_pcs,
     build_quaternion_rep,
@@ -19,7 +20,7 @@ from lomlab.construct import (
     t_vf,
     twisted_rep,
 )
-from lomlab.division import AlgebraType, Quaternion, embed_quaternion
+from lomlab.division import AlgebraType, Quaternion, embed_quaternion, quat_mul
 from lomlab.engine import d_independent_subfamily
 from lomlab.errors import (
     BadScheduleError,
@@ -51,6 +52,16 @@ def test_group_table():
     # it really is conjugation: alpha(g) = j g j^{-1}
     for g in GROUP_ELEMENTS:
         assert CONJUGATION_BY_J[g] == group_mult(group_mult("j", g), group_inverse("j"))
+
+    # the whole table against a tolerant search over the units
+    def label_of(q):
+        (label,) = [g for g, unit in GROUP_UNITS.items() if q.isclose(unit)]
+        return label
+
+    for a in GROUP_ELEMENTS:
+        assert group_inverse(a) == label_of(GROUP_UNITS[a].conjugate())
+        for b in GROUP_ELEMENTS:
+            assert group_mult(a, b) == label_of(quat_mul(GROUP_UNITS[a], GROUP_UNITS[b]))
 
 
 # --- build_pcs -------------------------------------------------------------------

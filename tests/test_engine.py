@@ -8,6 +8,7 @@ from lomlab.engine import (
     MatrixAlgebra,
     commutant,
     commutant_of_matrices,
+    d_independent_subfamily,
     generate_algebra,
     independent_image,
     is_transitive,
@@ -25,7 +26,7 @@ from lomlab.errors import (
     NotTransitiveError,
     ShapeMismatchError,
 )
-from lomlab.numeric import rank_of
+from lomlab.numeric import orthonormal_rows, rank_of
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -75,6 +76,38 @@ def test_generate_nilpotent():
     assert alg.dim == 1
     assert not alg.unital
     assert span_equal(alg.basis, [N2])
+
+
+def test_generate_zero_algebra_is_rejected_with_a_line():
+    alg = generate_algebra([np.zeros((3, 3))], include_identity=False)
+    assert alg.dim == 0 and not alg.unital
+    report = is_transitive(alg)
+    assert not report.transitive
+    assert np.array_equal(report.witness[1], np.eye(3)[:, :1])
+
+
+def test_generate_unital_flag_is_a_python_bool():
+    # a numpy bool in the flag would break json.dump of reports
+    assert type(generate_algebra([J2], include_identity=False).unital) is bool
+    assert type(generate_algebra([N2], include_identity=False).unital) is bool
+
+
+def test_validate_matches_one_solve_per_product():
+    alg = planted_algebra(np.random.default_rng(5), "Quaternion", max_ambient=8, cond=10.0)
+    reference = max(alg.contains(a @ b)[1] / max(1.0, float(np.linalg.norm(a @ b)))
+                    for a in alg.basis for b in alg.basis)
+    assert abs(alg.validate() - reference) <= 1e-12
+
+
+def test_validate_rejects_each_defect():
+    assert MatrixAlgebra(2, (N2,), unital=False).validate() == 0.0
+    assert MatrixAlgebra(2, tuple(matrix_units(2)), unital=True).validate() <= 1e-15
+    with pytest.raises(ShapeMismatchError, match="linearly dependent"):
+        MatrixAlgebra(2, (N2, 2 * N2), unital=False).validate()
+    with pytest.raises(ShapeMismatchError, match="not closed under products"):
+        MatrixAlgebra(2, (N2, N2.T), unital=False).validate()
+    with pytest.raises(ShapeMismatchError, match="identity not in span"):
+        MatrixAlgebra(2, (N2,), unital=True).validate()
 
 
 def test_generate_shape_mismatch():
@@ -233,6 +266,21 @@ def test_independent_image_without_identity_flag():
     alg = MatrixAlgebra(2, tuple(matrix_units(2)), unital=False)
     k = independent_image(alg, [np.array([1.0, 0.0])], seed=3)
     assert rank_of(k @ np.array([[1.0], [0.0]])) == 1
+
+
+def test_d_independent_subfamily_stops_at_need(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orthonormal_rows(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "orthonormal_rows", counted)
+    vectors = np.random.default_rng(3).standard_normal((12, 6))
+    units = [embed_complex(np.zeros((3, 3)), np.eye(3))]
+    assert d_independent_subfamily(vectors, units, need=3) == [0, 1, 2]
+    # the span is grown after every pick but the last, which nothing reads
+    assert len(calls) == 2
 
 
 # --- min_rank ------------------------------------------------------------------

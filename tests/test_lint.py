@@ -3,7 +3,8 @@
 Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
-from one class.
+from one class.  An algebra's commutant is computed in ``engine`` only, by the
+transitivity certificate, and read off its report everywhere else.
 """
 
 import ast
@@ -70,5 +71,16 @@ def test_pinv_is_not_called_outside_numeric():
         for name, tree in modules() if name != "numeric.py"
         for function, call in calls(tree)
         if dotted(call.func).endswith("linalg.pinv")
+    ]
+    assert not offenders, offenders
+
+
+def test_commutant_is_computed_only_in_engine():
+    # the bindings other modules keep for the benchmark tracer are imports, not calls
+    offenders = [
+        f"{name}:{call.lineno} in {function}"
+        for name, tree in modules() if name != "engine.py"
+        for function, call in calls(tree)
+        if dotted(call.func).split(".")[-1] == "commutant"
     ]
     assert not offenders, offenders

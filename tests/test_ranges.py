@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lomlab import ranges
 from lomlab.errors import BadExponentError
 from lomlab.ranges import (
     INFINITY,
@@ -125,6 +126,27 @@ def test_power_families_non_isomorphic():
         assert witness_violates(h, k, n, m, p, direction)
         # independent re-check by brute summation
         assert not brute_inequality_holds(k, h, p, n, m)
+
+
+def test_check_isomorphism_sums_each_sequence_once(monkeypatch):
+    h = power_family(2.0, 2020)
+    k = power_family(3.0, 2020)
+    calls = {"prefix_sums": 0, "_direction_violation": 0}
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(DimSequence, "prefix_sums",
+                        counting(DimSequence.prefix_sums, "prefix_sums"))
+    monkeypatch.setattr(ranges, "_direction_violation",
+                        counting(ranges._direction_violation, "_direction_violation"))
+    verdict = check_isomorphism(h, k, p_max=20, horizon=2000)
+    assert verdict.verdict == "non_isomorphic"
+    # both directions at each p = 0..20; the witness reuses the p = 20 results
+    assert calls == {"prefix_sums": 2, "_direction_violation": 42}
 
 
 def test_symmetry_of_verdicts():
