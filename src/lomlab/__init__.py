@@ -45,7 +45,6 @@ from .engine import (
     TransitivityReport,
     commutant,
     generate_algebra,
-    independent_image,
     is_transitive,
     lift_idempotent,
     min_rank,
@@ -104,7 +103,6 @@ __all__ = [
     "generate_algebra",
     "generic_pair_pcs",
     "group_mean",
-    "independent_image",
     "is_transitive",
     "lift_idempotent",
     "min_rank",

@@ -29,7 +29,6 @@ from .errors import (
     NotAntiInvolutiveError,
     NotCommutativeError,
     NotTransitiveError,
-    SearchExhaustedError,
     ShapeMismatchError,
 )
 from .numeric import (
@@ -54,7 +53,6 @@ __all__ = [
     "is_transitive",
     "min_rank",
     "strict_interpolate",
-    "independent_image",
     "riesz_projection",
     "lift_idempotent",
     "d_independent_subfamily",
@@ -409,37 +407,6 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
             f"constructed element has rank {result}, expected {expected}"
         )
     return result
-
-
-def independent_image(algebra: MatrixAlgebra, vectors, tol: Tolerance = DEFAULT_TOL,
-                      seed: int = 0, max_tries: int = 64) -> np.ndarray:
-    """Element K of the algebra span mapping the given independent family to an
-    independent family.
-
-    The identity is tried first when the algebra is unital; otherwise random
-    coefficient vectors are drawn (seeded) up to a retry bound.
-    """
-    vecs = [as_vector(v) for v in vectors]
-    m = len(vecs)
-    if m == 0:
-        raise ShapeMismatchError("at least one vector is required")
-
-    def works(k):
-        images = np.stack([k @ v for v in vecs])
-        return rank_of(images, tol) == m
-
-    if algebra.unital:
-        eye = np.eye(algebra.ambient_dim)
-        if works(eye):
-            return eye
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        k = algebra.element(rng.standard_normal(algebra.dim))
-        if works(k):
-            return k
-    raise SearchExhaustedError(
-        f"no element with independent images found in {max_tries} tries"
-    )
 
 
 def riesz_projection(t, cluster, tol: Tolerance = DEFAULT_TOL):

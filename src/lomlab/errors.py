@@ -12,7 +12,6 @@ __all__ = [
     "NotAntiInvolutiveError",
     "NotTransitiveError",
     "NoSolutionError",
-    "SearchExhaustedError",
     "ClusterNotSeparatedError",
     "ClusterContainsZeroError",
     "NotCommutativeError",
@@ -66,10 +65,6 @@ class NoSolutionError(LomlabError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class SearchExhaustedError(LomlabError):
-    """A randomized search hit its retry bound without success."""
 
 
 class ClusterNotSeparatedError(LomlabError):

@@ -61,13 +61,9 @@ class Tolerance:
     def rank(self, s, budget: float = 1.0):
         """Count of the descending singular values ``s`` above ``cutoff(s[0] * budget)``;
         one count per row when ``s`` has a leading batch axis."""
-        if s.ndim == 1:
-            if s.size == 0 or s[0] == 0.0:
-                return 0
-            return int(np.count_nonzero(s > self.cutoff(s[0] * budget)))
         s_max = s[..., :1] * budget
-        keep = (s_max > 0.0) & (s > np.maximum(self.abs_eps, self.rel_eps * s_max))
-        return np.count_nonzero(keep, axis=-1)
+        count = (s > np.maximum(self.abs_eps, self.rel_eps * s_max)).sum(axis=-1)
+        return int(count) if s.ndim == 1 else count
 
     def is_zero(self, value, scale: float) -> bool:
         """``value <= cutoff(scale)``: a norm of size ``scale`` with no error to budget."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 import mpmath
@@ -75,10 +75,7 @@ class DimSequence:
 
     def prefix_sums(self):
         """Integer prefix sums with the infinite head counted as zero."""
-        out = [0] * (len(self.dims) + 1)
-        for idx, d in enumerate(self.dims):
-            out[idx + 1] = out[idx] + (0 if d == INFINITY else d)
-        return out
+        return list(accumulate((0 if d == INFINITY else d for d in self.dims), initial=0))
 
 
 def window_sum(seq: DimSequence, lo: int, hi: int):
@@ -135,40 +132,24 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
     m_top = min(m_max, h.horizon, k.horizon - p)
     if m_top < 1:
         return None, False
-
-    # LHS(n, m) = H[n..m], RHS = K[n-p..m+p].  For finite comparisons define
-    # G(m) = PH[m] - PK[m+p] and D(n) = PH[n-1] - PK[n-p-1]; a violation is
-    # G(m) > min_{0 <= n < m} D(n).  Infinite heads: LHS infinite only at
-    # n = 0; RHS infinite for n <= p.
-    def d_val(n):
-        lo = n - p - 1
-        return ph[n] - (pk[lo + 1] if lo >= 0 else 0)
-
     if h.infinite_head and not k.infinite_head:
         # n = 0 makes the left window infinite while the right stays finite.
         return (0, 1), True
 
-    # n-candidates with an infinite RHS never violate; skip n <= p when the
-    # right head is infinite, and n = 0 when the left head is infinite (both
-    # infinite: satisfied).
-    skip_low = p + 1 if k.infinite_head else int(h.infinite_head)
-    checked = False
-    best_n = None
-    best_d = None
-    for m in range(1, m_top + 1):
-        n = m - 1
-        if n >= skip_low:
-            dn = d_val(n)
-            if best_d is None or dn < best_d:
-                best_d = dn
-                best_n = n
-        if best_d is None:
-            continue
-        checked = True
-        g = ph[m + 1] - pk[m + p + 1]
-        if g > best_d:
+    # A finite pair n < m violates when ph[m+1] - pk[m+p+1] exceeds
+    # D(n) = ph[n] - pk[max(n-p, 0)], so one running minimum of D over n < m
+    # decides every m.  Pairs from n = lo on have both windows finite: an
+    # infinite right head satisfies every n <= p, which covers n = 0 of an
+    # infinite left head (a finite right head with one returned above).
+    lo = p + 1 if k.infinite_head else 0
+    best_n, best_d = None, math.inf
+    for m in range(lo + 1, m_top + 1):
+        d = ph[m - 1] - (pk[m - 1 - p] if m > p else 0)
+        if d < best_d:
+            best_n, best_d = m - 1, d
+        if ph[m + 1] - pk[m + p + 1] > best_d:
             return (best_n, m), True
-    return None, checked
+    return None, m_top > lo
 
 
 def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) -> IsoVerdict:
@@ -244,18 +225,14 @@ def _integer_root(x: int, n: int) -> int:
 def _floor_power(k: int, t: float) -> int:
     """Exact floor(k ** t) for k >= 1.
 
-    Exponents whose exact binary value has a small denominator go through an
-    integer root (exact, so integer-valued powers like 4**2.5 floor
+    Exponents whose exact ratio num/den has den <= 64 go through an integer
+    root of k**num (exact, so integer-valued powers like 4**2.5 floor
     correctly); other exponents are evaluated with 50-digit working precision
     and a guard band.
     """
-    if k == 1:
-        return 1
-    frac = Fraction(t)
-    if frac.denominator == 1:
-        return k ** frac.numerator
-    if frac.denominator <= 64:
-        return _integer_root(k ** frac.numerator, frac.denominator)
+    num, den = t.as_integer_ratio()
+    if den <= 64:
+        return _integer_root(k ** num, den)
     with mpmath.workdps(50):
         val = mpmath.power(k, mpmath.mpf(t))
         return int(mpmath.floor(val + mpmath.mpf("1e-30")))

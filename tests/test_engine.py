@@ -10,7 +10,6 @@ from lomlab.engine import (
     commutant_of_matrices,
     d_independent_subfamily,
     generate_algebra,
-    independent_image,
     is_transitive,
     lift_idempotent,
     min_rank,
@@ -245,27 +244,6 @@ def test_interpolate_minimum_norm_deterministic():
     t1 = strict_interpolate(alg, [((1, 0), (0, 1))])
     t2 = strict_interpolate(alg, [((1, 0), (0, 1))])
     assert np.array_equal(t1, t2)
-
-
-# --- independent_image ---------------------------------------------------------
-
-def test_independent_image_identity_shortcut():
-    alg = generate_algebra(matrix_units(2), include_identity=True)
-    k = independent_image(alg, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    assert np.array_equal(k, np.eye(2))
-
-
-def test_independent_image_rotation_line():
-    alg = MatrixAlgebra(2, (J2,), unital=False)
-    k = independent_image(alg, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-    imgs = np.stack([k @ np.array([1.0, 0.0]), k @ np.array([0.0, 1.0])])
-    assert rank_of(imgs) == 2
-
-
-def test_independent_image_without_identity_flag():
-    alg = MatrixAlgebra(2, tuple(matrix_units(2)), unital=False)
-    k = independent_image(alg, [np.array([1.0, 0.0])], seed=3)
-    assert rank_of(k @ np.array([[1.0], [0.0]])) == 1
 
 
 def test_d_independent_subfamily_stops_at_need(monkeypatch):

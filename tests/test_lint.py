@@ -4,11 +4,14 @@ Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
 from one class.  An algebra's commutant is computed in ``engine`` only, by the
-transitivity certificate, and read off its report everywhere else.
+transitivity certificate, and read off its report everywhere else.  Every
+error class is raised somewhere.
 """
 
 import ast
 from pathlib import Path
+
+from lomlab import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lomlab"
 
@@ -84,3 +87,13 @@ def test_commutant_is_computed_only_in_engine():
         if dotted(call.func).split(".")[-1] == "commutant"
     ]
     assert not offenders, offenders
+
+
+def test_every_error_class_is_raised():
+    raised = {
+        dotted(node.exc.func if isinstance(node.exc, ast.Call) else node.exc).split(".")[-1]
+        for name, tree in modules() if name != "errors.py"
+        for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    unraised = [cls for cls in errors.__all__ if cls != "LomlabError" and cls not in raised]
+    assert not unraised, unraised

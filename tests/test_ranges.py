@@ -190,6 +190,46 @@ def test_infinite_head_against_finite_head():
         assert witness_violates(h, k, n, m, p, direction)
 
 
+dim_sequences = st.builds(
+    lambda dims, head: DimSequence((INFINITY,) * head + tuple(dims[head:])),
+    st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    st.booleans(),
+)
+
+
+def brute_violations(big, small, p, horizon):
+    """Pairs 0 <= n < m within every horizon where ``big`` exceeds ``small`` at
+    shift p, and whether any such pair has both windows finite."""
+    m_top = min(horizon, big.horizon, small.horizon - p)
+    pairs = [(n, m) for m in range(1, m_top + 1) for n in range(m)]
+    bad = [(n, m) for n, m in pairs if not brute_inequality_holds(big, small, p, n, m)]
+    finite = any(brute_window(big, n, m) != INFINITY
+                 and brute_window(small, n - p, m + p) != INFINITY for n, m in pairs)
+    return bad, finite
+
+
+@given(dim_sequences, dim_sequences, st.integers(0, 4), st.integers(2, 14))
+@settings(max_examples=400, deadline=None)
+def test_check_isomorphism_matches_brute_force(a, b, p_max, horizon):
+    verdict = check_isomorphism(a, b, p_max=p_max, horizon=horizon)
+    for p in range(p_max + 1):
+        bad_ab, finite_ab = brute_violations(a, b, p, horizon)
+        bad_ba, finite_ba = brute_violations(b, a, p, horizon)
+        if not bad_ab and not bad_ba and finite_ab and finite_ba:
+            assert verdict.verdict == "isomorphic" and verdict.p == p
+            return
+    for direction, big, small, bad in (("left_exceeds_right", a, b, bad_ab),
+                                       ("right_exceeds_left", b, a, bad_ba)):
+        if bad:
+            assert verdict.verdict == "non_isomorphic"
+            n, m, got = verdict.witness
+            assert got == direction and m == min(m for _, m in bad)
+            assert not any(brute_inequality_holds(big, small, p, n, m)
+                           for p in range(p_max + 1))
+            return
+    assert verdict.verdict == "undecided"
+
+
 # --- power_family ----------------------------------------------------------------------
 
 def test_power_family_examples():
