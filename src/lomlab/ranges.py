@@ -121,6 +121,12 @@ def range_weights(seq: DimSequence):
     return [(2.0 ** (-k), seq.dims[k]) for k in range(len(seq.dims))]
 
 
+def _pair_bounds(h: DimSequence, k: DimSequence, p: int, m_max: int):
+    """``(m_top, lo)``: the largest m, and the smallest n with both windows
+    finite, of the pairs on which h is checked against k at shift p."""
+    return min(m_max, h.horizon, k.horizon - p), (p + 1 if k.infinite_head else 0)
+
+
 def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
                          p: int, m_max: int):
     """First pair (n, m) with sum_{n..m} h > sum_{n-p..m+p} k, else None.
@@ -129,7 +135,7 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
     stay within both materialized horizons are examined.  Returns
     ``(found_pair_or_None, checked_any)``.
     """
-    m_top = min(m_max, h.horizon, k.horizon - p)
+    m_top, lo = _pair_bounds(h, k, p, m_max)
     if m_top < 1:
         return None, False
     if h.infinite_head and not k.infinite_head:
@@ -141,7 +147,6 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
     # decides every m.  Pairs from n = lo on have both windows finite: an
     # infinite right head satisfies every n <= p, which covers n = 0 of an
     # infinite left head (a finite right head with one returned above).
-    lo = p + 1 if k.infinite_head else 0
     best_n, best_d = None, math.inf
     for m in range(lo + 1, m_top + 1):
         d = ph[m - 1] - (pk[m - 1 - p] if m > p else 0)
@@ -161,6 +166,15 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
     violating at p_max violates at all smaller p, since the dominating window
     only shrinks).  If neither can be established within the materialized
     horizons, the verdict is undecided.
+
+    Each direction is scanned until it holds.  A direction that holds at p
+    holds at every larger p, so it is not scanned again: the checkable pairs
+    at p + 1 are a subset of those at p, the dominating window at p + 1
+    contains the one at p and every dim is nonnegative, and the early (0, 1)
+    violation does not depend on p.  Only whether any finite pair is still
+    checkable changes, and that is read off the pair bounds.  A failing
+    direction is scanned at every p, since the witness is its first violation
+    at p_max.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -168,9 +182,18 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
         raise ValueError("p_max must be nonnegative")
     ph = h.prefix_sums()
     pk = k.prefix_sums()
+
+    def at_shift(big, small, pb, ps, p, held):
+        """``_direction_violation``'s result, read off the bounds once held."""
+        if held:
+            m_top, lo = _pair_bounds(big, small, p, horizon)
+            return None, m_top > lo
+        return _direction_violation(big, small, pb, ps, p, horizon)
+
+    fail_hk = fail_kh = None
     for p in range(p_max + 1):
-        fail_hk, checked_hk = _direction_violation(h, k, ph, pk, p, horizon)
-        fail_kh, checked_kh = _direction_violation(k, h, pk, ph, p, horizon)
+        fail_hk, checked_hk = at_shift(h, k, ph, pk, p, p > 0 and fail_hk is None)
+        fail_kh, checked_kh = at_shift(k, h, pk, ph, p, p > 0 and fail_kh is None)
         if fail_hk is None and fail_kh is None and checked_hk and checked_kh:
             return IsoVerdict("isomorphic", p=p, p_max=p_max, horizon=horizon)
     # The loop ended at p = p_max; its two results decide the witness.
@@ -222,8 +245,8 @@ def _integer_root(x: int, n: int) -> int:
     return g
 
 
-def _floor_power(k: int, t: float) -> int:
-    """Exact floor(k ** t) for k >= 1.
+def _floor_power_of(t: float):
+    """The function k -> exact floor(k ** t) for k >= 1, with t read once.
 
     Exponents whose exact ratio num/den has den <= 64 go through an integer
     root of k**num (exact, so integer-valued powers like 4**2.5 floor
@@ -232,10 +255,13 @@ def _floor_power(k: int, t: float) -> int:
     """
     num, den = t.as_integer_ratio()
     if den <= 64:
-        return _integer_root(k ** num, den)
-    with mpmath.workdps(50):
-        val = mpmath.power(k, mpmath.mpf(t))
-        return int(mpmath.floor(val + mpmath.mpf("1e-30")))
+        return lambda k: _integer_root(k ** num, den)
+
+    def floor_power(k: int) -> int:
+        with mpmath.workdps(50):
+            val = mpmath.power(k, mpmath.mpf(t))
+            return int(mpmath.floor(val + mpmath.mpf("1e-30")))
+    return floor_power
 
 
 def power_family(t: float, horizon: int) -> DimSequence:
@@ -244,7 +270,8 @@ def power_family(t: float, horizon: int) -> DimSequence:
         raise BadExponentError(f"exponent must exceed 1, got {t}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    dims = [INFINITY] + [_floor_power(k, t) for k in range(1, horizon + 1)]
+    floor_power = _floor_power_of(t)
+    dims = [INFINITY] + [floor_power(k) for k in range(1, horizon + 1)]
     return DimSequence(tuple(dims))
 
 
@@ -259,11 +286,12 @@ def asymptotic_certificate(t: float, r: float, p: int, horizon: int) -> Optional
         raise BadExponentError(f"need t > r > 1, got t={t}, r={r}")
     if p < 0:
         raise ValueError("p must be nonnegative")
+    floor_t, floor_r = _floor_power_of(t), _floor_power_of(r)
     left = 0
-    right = sum(_floor_power(k, r) for k in range(1, p + 1))
+    right = sum(floor_r(k) for k in range(1, p + 1))
     for m in range(p + 1, horizon + 1):
-        left += _floor_power(m, t)
-        right += _floor_power(m + p, r)
+        left += floor_t(m)
+        right += floor_r(m + p)
         if left > right:
             return m
     return None

@@ -182,7 +182,9 @@ def test_ranges_witness_is_reverified(capsys):
     assert main(["ranges", path]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["verdict"] == "non_isomorphic"
-    assert report["result"]["witness"]["reverified_all_p"] is True
+    witness = report["result"]["witness"]
+    assert witness["reverified_all_p"] is True
+    assert (witness["n"], witness["m"], witness["direction"]) == (21, 23, "right_exceeds_left")
 
 
 def test_missing_file_is_parse_error(capsys):

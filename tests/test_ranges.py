@@ -145,8 +145,10 @@ def test_check_isomorphism_sums_each_sequence_once(monkeypatch):
                         counting(ranges._direction_violation, "_direction_violation"))
     verdict = check_isomorphism(h, k, p_max=20, horizon=2000)
     assert verdict.verdict == "non_isomorphic"
-    # both directions at each p = 0..20; the witness reuses the p = 20 results
-    assert calls == {"prefix_sums": 2, "_direction_violation": 42}
+    # the left direction holds at p = 0 and is not scanned again; the failing
+    # right direction is scanned at each p = 0..20, and the witness reuses the
+    # p = 20 scan
+    assert calls == {"prefix_sums": 2, "_direction_violation": 22}
 
 
 def test_symmetry_of_verdicts():
@@ -228,6 +230,42 @@ def test_check_isomorphism_matches_brute_force(a, b, p_max, horizon):
                            for p in range(p_max + 1))
             return
     assert verdict.verdict == "undecided"
+
+
+def reference_check_isomorphism(h, k, p_max, horizon):
+    """Both directions scanned at every p, with no reuse between shifts."""
+    ph, pk = h.prefix_sums(), k.prefix_sums()
+    for p in range(p_max + 1):
+        fail_hk, checked_hk = ranges._direction_violation(h, k, ph, pk, p, horizon)
+        fail_kh, checked_kh = ranges._direction_violation(k, h, pk, ph, p, horizon)
+        if fail_hk is None and fail_kh is None and checked_hk and checked_kh:
+            return "isomorphic", p, None
+    if fail_hk is not None:
+        return "non_isomorphic", None, fail_hk + ("left_exceeds_right",)
+    if fail_kh is not None:
+        return "non_isomorphic", None, fail_kh + ("right_exceeds_left",)
+    return "undecided", None, None
+
+
+@given(dim_sequences, dim_sequences, st.integers(0, 8), st.integers(2, 14))
+@settings(max_examples=400, deadline=None)
+def test_check_isomorphism_matches_scan_at_every_p(a, b, p_max, horizon):
+    verdict = check_isomorphism(a, b, p_max=p_max, horizon=horizon)
+    assert (verdict.verdict, verdict.p, verdict.witness) == \
+        reference_check_isomorphism(a, b, p_max, horizon)
+
+
+def test_held_direction_with_no_pair_left_is_undecided():
+    # h <= k holds at p = 0 and p = 1; at p = 2, k's horizon leaves no pair to
+    # check in that direction, while k <= h holds from p = 2 on.
+    h = DimSequence((0, 0, 0, 5, 0, 0))
+    k = DimSequence((0, 3, 0))
+    assert check_isomorphism(h, k, p_max=1, horizon=5).witness == \
+        (0, 1, "right_exceeds_left")
+    for p_max in (2, 3):
+        verdict = check_isomorphism(h, k, p_max=p_max, horizon=5)
+        assert verdict.verdict == "undecided"
+        assert reference_check_isomorphism(h, k, p_max, 5) == ("undecided", None, None)
 
 
 # --- power_family ----------------------------------------------------------------------
