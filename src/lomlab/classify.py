@@ -140,8 +140,9 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     Verification: for ``trials`` seeded random instances, a family of k*n
     independent vectors is reduced greedily to n vectors independent over the
     commutant, and the interpolation onto random targets must solve exactly.
-    The trials' systems are solved in batches; a failure is raised for the
-    first failing trial, as if the trials ran one by one.
+    All families are reduced in one batched greedy pass, and the trials'
+    systems are solved in batches; a failure is raised for the first failing
+    trial, as if the trials ran one by one.
     For k > 1 an infeasible witness pair is produced as well.
 
     Returns ``(k, witness_or_None)``.
@@ -153,20 +154,23 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     stack = algebra.stack()
 
     n_targets = n // k
+    # One draw holds each trial's family and then its targets, in the stream
+    # order of drawing them trial by trial.
+    draws = rng.standard_normal((trials, (k + 1) * n_targets, n))
+    families = draws[:, :k * n_targets]
+    targets = draws[:, k * n_targets:]
+    targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
+    picks = d_independent_subfamily(families, units, tol, need=n_targets)
     batch_size = max(1, _DENSITY_BATCH_BYTES // (8 * n_targets * n * algebra.dim))
     batch = []
-    for trial in range(trials):
-        family = rng.standard_normal((k * n_targets, n))
-        picked = d_independent_subfamily(family, units, tol, need=n_targets)
+    for trial, picked in enumerate(picks):
         if len(picked) < n_targets:
             _verify_trials(stack, batch, tol)  # earlier trials fail first
             raise NoSolutionError(
                 "could not extract a commutant-independent subfamily; "
                 "structure units inconsistent with the algebra"
             )
-        targets = rng.standard_normal((n_targets, n))
-        targets /= np.linalg.norm(targets, axis=1)[:, None]
-        batch.append((family[picked], targets))
+        batch.append((families[trial, picked], targets[trial]))
         if len(batch) == batch_size or trial == trials - 1:
             _verify_trials(stack, batch, tol)
             batch = []

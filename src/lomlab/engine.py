@@ -26,6 +26,7 @@ from .errors import (
     ClusterNotSeparatedError,
     NoConvergenceError,
     NoSolutionError,
+    NonFiniteError,
     NotAntiInvolutiveError,
     NotCommutativeError,
     NotTransitiveError,
@@ -346,28 +347,51 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
     """Greedy (input-order) selection of a subfamily independent over the commutant.
 
     ``units`` are the anti-involutive structure units ([] for the real type);
-    the span grown is the module span {x, U x, ...} of the picked vectors.
-    Returns the list of picked indices.
+    the span grown is the module span {x, U x, ...} of the picked vectors, and
+    picking stops after ``need`` vectors.  Returns the list of picked indices.
+
+    ``vectors`` may carry one leading batch axis, shape ``(families, m, n)``:
+    every family is reduced in one pass over the candidate index, and one
+    list of picked indices is returned per family.  Each family's span is a
+    fixed array with one block of rows per candidate; rows of candidates not
+    picked stay zero and project nothing.
     """
-    picked = []
-    span = None
-    for idx, x in enumerate(vectors):
-        xv = as_vector(x)
-        nrm = float(np.linalg.norm(xv))
-        if nrm <= tol.abs_eps:
-            continue
-        if span is not None:
-            resid = np.linalg.norm(xv - span.T @ (span @ xv))
-            if tol.residual_ok(resid, nrm):
-                continue
-        picked.append(idx)
-        if len(picked) == need:
+    fams = np.array(vectors, dtype=float)
+    batched = fams.ndim == 3
+    if not batched:
+        fams = fams.reshape(1, len(fams), -1 if fams.size else 0)
+    families, m, n = fams.shape
+    if m and not n:
+        raise ShapeMismatchError("expected a nonempty vector")
+    if not np.all(np.isfinite(fams)):
+        raise NonFiniteError("vector contains NaN or Inf entries")
+    goal = m if need is None else need
+    width = min(1 + len(units), n)
+    span = np.zeros((families, m * width, n))
+    picked = [[] for _ in range(families)]
+    count = np.zeros(families, dtype=int)
+    for idx in range(m):
+        open_ = count < goal
+        if not open_.any():
             break
-        orbit = [xv] + [u @ xv for u in units]
-        block = np.stack([o / np.linalg.norm(o) for o in orbit])
-        span = block if span is None else np.vstack([span, block])
-        span = orthonormal_rows(span, tol)
-    return picked
+        x = fams[:, idx]
+        nrm = np.linalg.norm(x, axis=1)
+        proj = (np.swapaxes(span, 1, 2) @ (span @ x[..., None]))[..., 0]
+        resid = np.linalg.norm(x - proj, axis=1)
+        take = open_ & (nrm > tol.abs_eps) & ~tol.residual_ok(resid, nrm)
+        for f in np.flatnonzero(take):
+            picked[f].append(idx)
+        count += take
+        grow = np.flatnonzero(take & (count < goal))
+        if not grow.size or idx == m - 1:
+            continue  # nothing reads the span past the last pick
+        block = np.stack([x[grow]] + [x[grow] @ np.asarray(u).T for u in units], axis=1)
+        block /= np.linalg.norm(block, axis=2, keepdims=True)
+        rows = span[grow]
+        for _ in range(2):  # one pass leaves rounding along the span when the block is near it
+            block -= (block @ np.swapaxes(rows, 1, 2)) @ rows
+        span[grow, idx * width:(idx + 1) * width] = orthonormal_rows(block, tol)
+    return picked if batched else picked[0]
 
 
 def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) -> int:

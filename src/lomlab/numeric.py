@@ -202,9 +202,17 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
 
 
 def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of ``m``."""
+    """Orthonormal basis (rows) of the row space of ``m``.
+
+    ``m`` may carry one leading batch axis, shape ``(batch, rows, cols)``:
+    each slice is cut with its own cutoff, and the result has shape
+    ``(batch, min(rows, cols), cols)``, rows past a slice's rank zero.
+    """
     a = np.asarray(m, dtype=float)
     if a.size == 0:
-        return a.reshape(0, a.shape[-1] if a.ndim == 2 else 0)
+        return np.zeros(a.shape[:-2] + (0, a.shape[-1] if a.ndim >= 2 else 0))
     _, s, vt = svd(a)
-    return vt[:tol.rank(s)].copy()
+    if a.ndim == 2:
+        return vt[:tol.rank(s)].copy()
+    keep = np.arange(s.shape[-1]) < tol.rank(s)[:, None]
+    return np.where(keep[..., None], vt[:, :s.shape[-1]], 0.0)

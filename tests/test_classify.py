@@ -29,6 +29,7 @@ from lomlab.numeric import orthonormal_rows, solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
+engine_module = importlib.import_module("lomlab.engine")
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -219,20 +220,36 @@ def test_density_zero_trials(corpus_algebras):
 
 def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypatch):
     alg, _ = corpus_algebras["complex_m2_plain"]
-    calls = []
 
-    def short_on_third_trial(vectors, units, tol, need=None):
-        calls.append(need)
-        picked = d_independent_subfamily(vectors, units, tol, need)
-        return picked[:-1] if len(calls) == 3 else picked
+    def short_third_family(vectors, units, tol, need=None):
+        picks = d_independent_subfamily(vectors, units, tol, need)
+        picks[2] = picks[2][:-1]
+        return picks
 
-    monkeypatch.setattr(classify_module, "d_independent_subfamily", short_on_third_trial)
+    monkeypatch.setattr(classify_module, "d_independent_subfamily", short_third_family)
     structure = frobenius_recognize(commutant(alg))
     with pytest.raises(NoSolutionError, match="could not extract"):
         density_degree(alg, structure, trials=5)
-    calls.clear()
     with pytest.raises(NoSolutionError, match="interpolation infeasible"):
         density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=5)
+
+
+@pytest.mark.parametrize("name", ["full_m3_plain", "quat_m2_plain"])
+def test_density_picks_every_trial_in_one_pass(corpus_algebras, monkeypatch, name):
+    alg, _ = corpus_algebras[name]
+    structure = frobenius_recognize(commutant(alg))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orthonormal_rows(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "orthonormal_rows", counted)
+    density_degree(alg, structure, trials=1)
+    single = len(calls)
+    calls.clear()
+    density_degree(alg, structure, trials=25)
+    assert single > 0 and len(calls) <= single
 
 
 # --- envelope -------------------------------------------------------------------

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_algebra, random_quaternion, random_similarity
 from lomlab import engine
-from lomlab.division import Quaternion, embed_complex, embed_quaternion, frobenius_recognize
+from lomlab.division import (
+    Quaternion,
+    embed_complex,
+    embed_quaternion,
+    frobenius_recognize,
+    left_mult_matrix,
+)
 from lomlab.engine import (
     MatrixAlgebra,
     commutant,
@@ -21,11 +29,12 @@ from lomlab.errors import (
     ClusterNotSeparatedError,
     NoConvergenceError,
     NoSolutionError,
+    NonFiniteError,
     NotCommutativeError,
     NotTransitiveError,
     ShapeMismatchError,
 )
-from lomlab.numeric import orthonormal_rows, rank_of
+from lomlab.numeric import DEFAULT_TOL, orthonormal_rows, rank_of
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -259,6 +268,85 @@ def test_d_independent_subfamily_stops_at_need(monkeypatch):
     assert d_independent_subfamily(vectors, units, need=3) == [0, 1, 2]
     # the span is grown after every pick but the last, which nothing reads
     assert len(calls) == 2
+
+
+def test_d_independent_subfamily_need_zero_picks_nothing():
+    vectors = np.random.default_rng(0).standard_normal((4, 4))
+    assert d_independent_subfamily(vectors, []) == [0, 1, 2, 3]
+    assert d_independent_subfamily(vectors, [], need=0) == []
+    assert d_independent_subfamily(np.stack([vectors, vectors]), [], need=0) == [[], []]
+
+
+def test_d_independent_subfamily_rejects_bad_vectors():
+    vectors = np.random.default_rng(0).standard_normal((3, 4))
+    vectors[2, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        d_independent_subfamily(vectors, [])
+    with pytest.raises(ShapeMismatchError):
+        d_independent_subfamily(np.zeros((3, 0)), [])
+    assert d_independent_subfamily([], []) == []
+
+
+def greedy_oracle(vectors, units, need=None):
+    """One family picked on its own, the whole span re-orthonormalized after each pick."""
+    picked, span = [], np.zeros((0, vectors.shape[1]))
+    for idx, x in enumerate(vectors):
+        if len(picked) == need:
+            break
+        nrm = np.linalg.norm(x)
+        if nrm <= DEFAULT_TOL.abs_eps \
+                or DEFAULT_TOL.residual_ok(np.linalg.norm(x - span.T @ (span @ x)), nrm):
+            continue
+        picked.append(idx)
+        block = np.stack([o / np.linalg.norm(o) for o in [x] + [u @ x for u in units]])
+        span = orthonormal_rows(np.vstack([span, block]))
+    return picked
+
+
+def structure_units(kind, blocks):
+    """The units of D acting on D^blocks, D = R, C or H."""
+    if kind == "Real":
+        return []
+    if kind == "Complex":
+        return [np.kron(np.eye(blocks), J2)]
+    return [np.kron(np.eye(blocks), left_mult_matrix(q)) for q in (I_Q, J_Q, Quaternion(0, 0, 0, 1))]
+
+
+@st.composite
+def planted_families(draw):
+    """A stack of candidate families for conjugated R, C or H units, each slot a random,
+    a zero or a planted dependent vector (a combination of the module span so far)."""
+    kind = draw(st.sampled_from(["Real", "Complex", "Quaternion"]))
+    d = {"Real": 1, "Complex": 2, "Quaternion": 4}[kind]
+    n = d * draw(st.integers(1, 6 // d if d < 4 else 2))
+    cond = 10.0 ** draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_similarity(rng, n, cond)
+    pinv = np.linalg.inv(p)
+    units = [p @ u @ pinv for u in structure_units(kind, n // d)]
+    m = draw(st.integers(1, n + 3))
+    slots = draw(st.lists(st.lists(st.sampled_from(["random", "zero", "dependent"]),
+                                   min_size=m, max_size=m), min_size=1, max_size=4))
+    fams = np.zeros((len(slots), m, n))
+    for fam, kinds in zip(fams, slots):
+        for idx, slot in enumerate(kinds):
+            if slot == "random":
+                fam[idx] = rng.standard_normal(n)
+            elif slot == "dependent":
+                module = [u @ x for x in fam[:idx] for u in [np.eye(n)] + units]
+                if module:
+                    fam[idx] = rng.standard_normal(len(module)) @ np.array(module)
+    need = draw(st.none() | st.integers(1, m))
+    return fams, units, need
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_families())
+def test_batched_d_independent_subfamily_matches_per_family_greedy(case):
+    fams, units, need = case
+    picks = d_independent_subfamily(fams, units, need=need)
+    assert picks == [greedy_oracle(fam, units, need) for fam in fams]
+    assert d_independent_subfamily(fams[0], units, need=need) == picks[0]
 
 
 # --- min_rank ------------------------------------------------------------------

@@ -153,6 +153,24 @@ def test_orthonormal_rows():
     assert np.allclose(q @ q.T, np.eye(3), atol=1e-12)
 
 
+def test_orthonormal_rows_batch_matches_each_slice():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 3, 6))
+    a[1, 2] = a[1, 0] + a[1, 1]  # rank 2
+    a[2] = 0.0  # rank 0
+    a[3, 1] *= 1e-13  # below the slice's own cutoff
+    tall = rng.standard_normal((2, 5, 3))
+    tall[1, :, 2] = tall[1, :, 0]
+    for batch in (a, tall):
+        q = orthonormal_rows(batch)
+        assert q.shape == (len(batch), 3, batch.shape[2])  # min(rows, cols) rows
+        for qi, ai in zip(q, batch):
+            single = orthonormal_rows(ai)
+            assert np.array_equal(qi[:len(single)], single)
+            assert not qi[len(single):].any()
+    assert [len(orthonormal_rows(ai)) for ai in a] == [3, 2, 0, 2]
+
+
 def test_lstsq_batch_matches_single_solves():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 6, 4))
