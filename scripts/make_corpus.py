@@ -13,7 +13,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from lomlab.cli import matrix_to_json, run_instance  # noqa: E402
+from lomlab.cli import _check_expectation, matrix_to_json, run_instance  # noqa: E402
 from lomlab.division import Quaternion, embed_complex, embed_quaternion  # noqa: E402
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "lomlab" / "corpus"
@@ -202,19 +202,8 @@ def main():
 
     # sanity pass before writing: every expectation must hold
     for inst in instances:
-        report = run_instance(dict(inst))
-        expect = inst["expect"]
-        if "error" in expect:
-            got = (report.get("error") or {}).get("error")
-            assert got == expect["error"], (inst["name"], report.get("error"))
-            continue
-        assert report["error"] is None, (inst["name"], report["error"])
-        for key, want in expect.items():
-            got = report["result"].get(key)
-            if isinstance(want, float):
-                assert got is not None and abs(got - want) <= 1e-6, (inst["name"], key, got)
-            else:
-                assert got == want, (inst["name"], key, want, got)
+        problems = _check_expectation(run_instance(dict(inst)), inst["expect"])
+        assert not problems, (inst["name"], problems)
         print(f"verified {inst['name']}")
 
     for inst in instances:

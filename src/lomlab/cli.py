@@ -6,8 +6,10 @@ tolerances (defaults are written back into reports, never left implicit).
 Matrices are row-major ``{"rows": r, "cols": c, "entries": [...]}``;
 INFINITY in dimension sequences is spelled ``"inf"``.
 
-Exit codes: 0 success, 2 parse/validation error, 3 mathematical precondition
-failure, 4 suite failure.
+Exit codes: 0 success, 2 parse/validation error (any missing, mistyped or
+out-of-range field, ``suite --tol`` included), 3 mathematical precondition
+failure, 4 suite failure.  ``suite`` marks an instance that fails to load or
+run and goes on to the next.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
@@ -46,11 +50,23 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SUITE = 4
 
-KINDS = ("algebra", "pcs", "rep", "pair", "ranges")
-
 
 # ---------------------------------------------------------------------------
 # JSON <-> value helpers
+
+@contextmanager
+def _malformed(what):
+    """Turn a missing, mistyped or out-of-range field of ``what`` into ``ParseError``.
+
+    Wrap only the reading and range checks of fields, never ``generate_algebra``,
+    ``classify`` or a ``construct`` builder, so an error from the mathematics
+    can never pass for a parse error.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from exc
+
 
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=float)
@@ -59,11 +75,9 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj, what="matrix") -> np.ndarray:
-    try:
+    with _malformed(what):
         rows, cols = int(obj["rows"]), int(obj["cols"])
         entries = [float(x) for x in obj["entries"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed {what}: {exc}") from exc
     if rows < 1 or cols < 1 or len(entries) != rows * cols:
         raise ParseError(
             f"{what} declares {rows}x{cols} but carries {len(entries)} entries"
@@ -78,39 +92,27 @@ def vector_to_json(v) -> list:
 def tolerance_from_json(obj) -> Tolerance:
     if obj is None:
         return DEFAULT_TOL
-    try:
+    with _malformed("tolerance"):
         return Tolerance(rel_eps=float(obj["rel_eps"]), abs_eps=float(obj["abs_eps"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed tolerance: {exc}") from exc
 
 
 def sequence_from_json(obj) -> DimSequence:
     """Dimension sequence from either explicit dims or a floor-power recipe."""
     if not isinstance(obj, dict):
         raise ParseError("sequence spec must be an object")
-    if "dims" in obj:
-        dims = []
-        for d in obj["dims"]:
-            if d == "inf":
-                dims.append(INFINITY)
-            else:
-                dims.append(int(d))
-        seq = DimSequence(tuple(dims))
-    elif "floor_power" in obj:
-        try:
-            t = float(obj["floor_power"])
-            horizon = int(obj["horizon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed power spec: {exc}") from exc
-        seq = power_family(t, horizon)
-        head = obj.get("head", "inf")
-        if head != "inf":
-            seq = DimSequence((int(head),) + seq.dims[1:])
-    else:
-        raise ParseError("sequence spec needs 'dims' or 'floor_power'")
-    shift = int(obj.get("shift", 0))
-    if shift:
-        seq = shift_right(seq, shift)
+    with _malformed("sequence spec"):
+        if "dims" in obj:
+            seq = DimSequence(tuple(INFINITY if d == "inf" else int(d) for d in obj["dims"]))
+        elif "floor_power" in obj:
+            seq = power_family(float(obj["floor_power"]), int(obj["horizon"]))
+            head = obj.get("head", "inf")
+            if head != "inf":
+                seq = DimSequence((int(head),) + seq.dims[1:])
+        else:
+            raise ParseError("sequence spec needs 'dims' or 'floor_power'")
+        shift = int(obj.get("shift", 0))
+        if shift:
+            seq = shift_right(seq, shift)
     return seq
 
 
@@ -123,14 +125,12 @@ def load_instance(path: str) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
+    with _malformed(f"JSON in {path}"):
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{path}: top level must be an object")
     kind = payload.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise ParseError(f"{path}: unknown kind {kind!r}")
     if "seed" not in payload or "tolerance" not in payload:
         raise ParseError(f"{path}: seed and tolerance must be explicit")
@@ -143,16 +143,16 @@ def load_instance(path: str) -> dict:
 # Command implementations (pure: payload -> result dict)
 
 def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
-    try:
+    with _malformed("algebra payload"):
         gens = [matrix_from_json(g, "generator") for g in payload["generators"]]
         include_identity = bool(payload.get("include_identity", True))
         ambient = int(payload["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed algebra payload: {exc}") from exc
+        trials = int(payload.get("density_trials", 25))
+        if trials < 0:
+            raise ValueError(f"density_trials must be nonnegative, got {trials}")
     if any(g.shape != (ambient, ambient) for g in gens):
         raise ParseError("generator shapes disagree with ambient_dim")
     algebra = generate_algebra(gens, include_identity, tol)
-    trials = int(payload.get("density_trials", 25))
     report = classify(algebra, tol, density_trials=trials, seed=seed)
     witness = None
     if report.density_witness is not None:
@@ -191,39 +191,33 @@ def _run_pcs_like(pcs, tol: Tolerance) -> dict:
 
 
 def _run_pcs(payload: dict, tol: Tolerance, seed: int) -> dict:
-    try:
+    with _malformed("pcs payload"):
         schedule = [float(s) for s in payload["schedule"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed pcs payload: {exc}") from exc
     return _run_pcs_like(build_pcs(len(schedule), schedule), tol)
 
 
 def _run_pair(payload: dict, tol: Tolerance, seed: int) -> dict:
-    try:
+    with _malformed("pair payload"):
         m_basis = matrix_from_json(payload["m_basis"], "m_basis")
         n_basis = matrix_from_json(payload["n_basis"], "n_basis")
         unit = matrix_from_json(payload["structure_unit"], "structure_unit")
-    except KeyError as exc:
-        raise ParseError(f"malformed pair payload: {exc}") from exc
     pair = GenericPair(m_basis, n_basis)
     return _run_pcs_like(generic_pair_pcs(pair, unit, tol), tol)
 
 
 def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
-    try:
+    with _malformed("rep payload"):
         blocks = int(payload["blocks"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed rep payload: {exc}") from exc
-    twists = None
-    if payload.get("twists") is not None:
-        twists = [matrix_from_json(t, "twist") for t in payload["twists"]]
+        twists = payload.get("twists")
+        if twists is not None:
+            twists = [matrix_from_json(t, "twist") for t in twists]
+        bases = payload.get("pair")
+        if bases is not None:
+            bases = (matrix_from_json(bases["m_basis"], "pair m_basis"),
+                     matrix_from_json(bases["n_basis"], "pair n_basis"))
     rep = build_quaternion_rep(blocks, twists)
-    if payload.get("pair") is not None:
-        pair = GenericPair(
-            matrix_from_json(payload["pair"]["m_basis"], "pair m_basis"),
-            matrix_from_json(payload["pair"]["n_basis"], "pair n_basis"),
-        )
-        rep = twisted_rep(pair, rep, tol=tol)
+    if bases is not None:
+        rep = twisted_rep(GenericPair(*bases), rep, tol=tol)
     residual = rep.validate(tol)
     alg = rep_commutant_algebra(rep, tol)
     return {
@@ -235,14 +229,13 @@ def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
 
 
 def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
-    try:
+    with _malformed("ranges payload"):
         left = sequence_from_json(payload["left"])
         right = sequence_from_json(payload["right"])
         p_max = int(payload["p_max"])
         horizon = int(payload["horizon"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed ranges payload: {exc}") from exc
-    verdict = check_isomorphism(left, right, p_max, horizon)
+        # check_isomorphism raises ValueError only on an out-of-range p_max or horizon
+        verdict = check_isomorphism(left, right, p_max, horizon)
     result = {
         "verdict": verdict.verdict,
         "p": verdict.p,
@@ -263,21 +256,29 @@ def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
     return result
 
 
-# kind -> (operation named in the report, runner)
-_RUNNERS = {
-    "algebra": ("classify", _run_algebra),
-    "pcs": ("construct", _run_pcs),
-    "pair": ("construct", _run_pair),
-    "rep": ("construct", _run_rep),
-    "ranges": ("ranges", _run_ranges),
+# command -> (help, {kind: runner}): the one place that says which kinds a
+# command runs; the command is the operation named in the report
+_COMMANDS = {
+    "classify": ("classify an algebra instance file", {"algebra": _run_algebra}),
+    "construct": ("build a pcs / rep / pair instance",
+                  {"pcs": _run_pcs, "rep": _run_rep, "pair": _run_pair}),
+    "ranges": ("compare two dimension sequences", {"ranges": _run_ranges}),
 }
+
+# kind -> (operation, runner)
+_RUNNERS = {kind: (command, runner)
+            for command, (_, runners) in _COMMANDS.items()
+            for kind, runner in runners.items()}
 
 
 def run_instance(payload: dict, seed_override=None, tol_override=None) -> dict:
     """Execute one instance payload, returning the full report dict."""
     tol = tolerance_from_json(payload.get("tolerance")) if tol_override is None \
         else tol_override
-    seed = int(payload["seed"]) if seed_override is None else int(seed_override)
+    with _malformed("seed"):
+        seed = int(payload["seed"] if seed_override is None else seed_override)
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
     operation, runner = _RUNNERS[payload["kind"]]
     start = time.perf_counter()
     report = {
@@ -339,31 +340,33 @@ def corpus_paths():
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for ``--tol``: a finite number above zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def _cmd_suite(args) -> int:
     tol_override = Tolerance(rel_eps=args.tol, abs_eps=DEFAULT_TOL.abs_eps) \
         if args.tol is not None else None
     entries = []
-    failures = 0
     for path in corpus_paths():
+        entry = {"path": path}
         try:
             payload = load_instance(path)
-        except ParseError as exc:
-            entries.append({"path": path, "status": "parse-error", "detail": str(exc)})
-            failures += 1
-            continue
-        report = run_instance(payload, seed_override=args.seed, tol_override=tol_override)
-        problems = _check_expectation(report, payload.get("expect", {}))
-        status = "pass" if not problems else "fail"
-        if problems:
-            failures += 1
-        entries.append({
-            "path": path,
-            "name": payload.get("name"),
-            "kind": payload["kind"],
-            "status": status,
-            "detail": "; ".join(problems),
-            "report": report,
-        })
+            entry.update(name=payload.get("name"), kind=payload["kind"])
+            report = run_instance(payload, seed_override=args.seed, tol_override=tol_override)
+        except LomlabError as exc:
+            entry.update(status="parse-error" if isinstance(exc, ParseError) else "error",
+                         detail=f"{type(exc).__name__}: {exc}")
+        else:
+            problems = _check_expectation(report, payload.get("expect", {}))
+            entry.update(status="fail" if problems else "pass", detail="; ".join(problems),
+                         report=report)
+        entries.append(entry)
+    failures = sum(e["status"] != "pass" for e in entries)
     summary = {
         "version": __version__,
         "total": len(entries),
@@ -389,7 +392,8 @@ def _emit(report: dict, out) -> None:
         print(text)
 
 
-def _cmd_single(args, expected_kinds) -> int:
+def _cmd_single(args) -> int:
+    expected_kinds = tuple(_COMMANDS[args.command][1])
     try:
         payload = load_instance(args.file)
         if payload["kind"] not in expected_kinds:
@@ -420,33 +424,18 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=f"lomlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify an algebra instance file")
-    p_classify.add_argument("file")
-    p_classify.add_argument("--out", default=None)
-
-    p_construct = sub.add_parser("construct", help="build a pcs / rep / pair instance")
-    p_construct.add_argument("file")
-    p_construct.add_argument("--out", default=None)
-
-    p_ranges = sub.add_parser("ranges", help="compare two dimension sequences")
-    p_ranges.add_argument("file")
-    p_ranges.add_argument("--out", default=None)
+    for command, (help_text, _) in _COMMANDS.items():
+        p_file = sub.add_parser(command, help=help_text)
+        p_file.add_argument("file")
+        p_file.add_argument("--out", default=None)
 
     p_suite = sub.add_parser("suite", help="run the shipped instance corpus")
     p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--tol", type=float, default=None)
+    p_suite.add_argument("--tol", type=_positive_float, default=None)
     p_suite.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "classify":
-        return _cmd_single(args, ("algebra",))
-    if args.command == "construct":
-        return _cmd_single(args, ("pcs", "rep", "pair"))
-    if args.command == "ranges":
-        return _cmd_single(args, ("ranges",))
-    if args.command == "suite":
-        return _cmd_suite(args)
-    parser.error(f"unknown command {args.command}")  # pragma: no cover
+    return _cmd_suite(args) if args.command == "suite" else _cmd_single(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,6 +28,13 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def corpus_payload(corpus, instance, **extra):
+    """A copy of a shipped instance with some fields replaced, ready to write."""
+    payload = {k: v for k, v in corpus[instance].items() if not k.startswith("_")}
+    payload.update(extra)
+    return payload
+
+
 def minimal_pcs(tmp_path, **extra):
     payload = {"kind": "pcs", "name": "t", "schedule": [1.0, 2.0],
                "seed": 0, "tolerance": {"rel_eps": 1e-9, "abs_eps": 1e-12}}
@@ -191,6 +198,30 @@ def test_missing_file_is_parse_error(capsys):
     assert main(["classify", "/nonexistent/file.json"]) == EXIT_PARSE
 
 
+def rep_pair_without_n_basis(corpus):
+    return corpus_payload(corpus, "rep_twisted",
+                          pair={"m_basis": corpus["rep_twisted"]["pair"]["m_basis"]})
+
+
+@pytest.mark.parametrize("command, build", [
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", horizon=1)),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", p_max=-1)),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", density_trials="many")),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", density_trials=-2)),
+    ("construct", lambda c: corpus_payload(c, "pcs_unit", seed="x")),
+    ("construct", rep_pair_without_n_basis),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", seed=-1)),
+    ("construct", lambda c: corpus_payload(c, "rep_twisted", twists=5)),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", kind=["algebra"])),
+], ids=["horizon-1", "p_max-negative", "trials-not-a-number", "trials-negative",
+        "seed-not-a-number", "pair-without-n_basis", "seed-negative", "twists-not-a-list",
+        "kind-not-a-string"])
+def test_malformed_field_is_parse_error(corpus, tmp_path, capsys, command, build):
+    path = write_json(tmp_path, "bad.json", build(corpus))
+    assert main([command, path]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 # --- determinism ----------------------------------------------------------------
 
 def test_reports_bitwise_deterministic():
@@ -240,3 +271,32 @@ def test_suite_flags_corrupted_corpus(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("lomlab.cli.corpus_paths", lambda: paths)
     assert main(["suite"]) == EXIT_SUITE
     assert "parse-error" in capsys.readouterr().out
+
+
+def test_suite_goes_on_past_a_failing_instance(corpus, monkeypatch, tmp_path, capsys):
+    algebra = corpus_payload(corpus, "complex_m2_plain", name="no_cols")
+    algebra["generators"] = [dict(algebra["generators"][0])] + algebra["generators"][1:]
+    del algebra["generators"][0]["cols"]
+    bad = [write_json(tmp_path, "bad_schedule.json",
+                      corpus_payload(corpus, "pcs_unit", name="bad_schedule", schedule=[0.5])),
+           write_json(tmp_path, "no_cols.json", algebra)]
+    paths = bad + corpus_paths()
+    monkeypatch.setattr("lomlab.cli.corpus_paths", lambda: paths)
+    out = tmp_path / "report.json"
+    assert main(["suite", "--out", str(out)]) == EXIT_SUITE
+    assert f"suite: {len(paths) - 2}/{len(paths)} passed" in capsys.readouterr().out
+    entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    assert entries["bad_schedule"]["status"] == "error"
+    assert entries["bad_schedule"]["detail"].startswith("BadScheduleError")
+    assert entries["no_cols"]["status"] == "parse-error"
+    assert entries["no_cols"]["detail"].startswith("ParseError")
+    assert sum(e["status"] == "pass" for e in entries.values()) == len(paths) - 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "abc"])
+def test_suite_tolerance_must_be_positive(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--tol", tol])
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--tol" in err

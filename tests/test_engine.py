@@ -176,6 +176,22 @@ def test_commutant_verified_on_large_basis():
     assert len(comm) == 1
 
 
+def test_commutant_offender_loop_reaches_the_full_commutant():
+    # I, E_12, ..., E_18 span an algebra of dimension 8 > 6, so the sampled path
+    # runs; four random combinations do not pin its commutant, and offenders are
+    # appended (4, 5, 6, then 7 generators) until every candidate commutes
+    n = 8
+    eye = np.eye(n)
+    alg = MatrixAlgebra(n, (eye, *(np.outer(eye[0], eye[j]) for j in range(1, n))),
+                        unital=True)
+    comm = commutant(alg)
+    rows = [np.kron(np.eye(n), b.T) - np.kron(b, np.eye(n)) for b in alg.basis]
+    assert len(comm) == n * n - rank_of(np.vstack(rows)) == 8
+    for x in comm:
+        for b in alg.basis:
+            assert np.linalg.norm(x @ b - b @ x) < 1e-10
+
+
 def test_commutant_raises_when_a_candidate_never_commutes(monkeypatch):
     # A candidate that fails the check against the basis every time must end in
     # NoConvergenceError, on the small-basis path (n = 2) and the sampled one (n = 3).

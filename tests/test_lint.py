@@ -5,10 +5,12 @@ Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
 from one class.  An algebra's commutant is computed in ``engine`` only, by the
 transitivity certificate, and read off its report everywhere else.  Every
-error class is raised somewhere.
+error class is raised somewhere.  The CLI turns a bad instance field into a
+``ParseError`` in one guard, ``cli._malformed``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 from lomlab import errors
@@ -27,15 +29,19 @@ def dotted(node):
     return ".".join(reversed(parts))
 
 
-def calls(tree, function=None):
-    """Yield ``(enclosing function name, call node)`` for every call in ``tree``."""
+def nodes(tree, function=None):
+    """Yield ``(enclosing function name, node)`` for every node in ``tree``."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from calls(node, node.name)
+            yield from nodes(node, node.name)
             continue
-        if isinstance(node, ast.Call):
-            yield function, node
-        yield from calls(node, function)
+        yield function, node
+        yield from nodes(node, function)
+
+
+def calls(tree):
+    """Yield ``(enclosing function name, call node)`` for every call in ``tree``."""
+    return ((function, node) for function, node in nodes(tree) if isinstance(node, ast.Call))
 
 
 def modules():
@@ -97,3 +103,24 @@ def test_every_error_class_is_raised():
     }
     unraised = [cls for cls in errors.__all__ if cls != "LomlabError" and cls not in raised]
     assert not unraised, unraised
+
+
+def test_cli_catches_field_errors_only_in_its_parse_guard():
+    # a handler that catches KeyError, TypeError or ValueError (or a builtin sub- or
+    # superclass of one) outside cli._malformed would be a second parse policy
+    field_errors = (KeyError, TypeError, ValueError)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    offenders = []
+    for function, node in nodes(tree):
+        if not isinstance(node, ast.ExceptHandler) or function == "_malformed":
+            continue
+        if node.type is None:
+            caught = [BaseException]
+        else:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught = [getattr(builtins, dotted(n), None) for n in names]
+        if any(isinstance(cls, type) and (issubclass(cls, field_errors)
+                                          or any(issubclass(e, cls) for e in field_errors))
+               for cls in caught):
+            offenders.append(f"cli.py:{node.lineno} in {function}")
+    assert not offenders, offenders
