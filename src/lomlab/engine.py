@@ -8,6 +8,7 @@ projections, and idempotent lifting modulo a nilpotent ideal.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
+``scipy.linalg`` is imported only by ``riesz_projection``, which alone calls it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .division import DivisionStructure, frobenius_recognize
 from .errors import (
@@ -486,6 +486,7 @@ def riesz_projection(t, cluster, tol: Tolerance = DEFAULT_TOL):
             hit = d <= gap / 2
             return bool(hit[0]) if hit.size == 1 else hit
 
+        import scipy.linalg
         r, q, sdim = scipy.linalg.schur(tm, output="real", sort=select)
         s = int(sdim)
         if s == 0 or s == n:

@@ -4,14 +4,15 @@ All rank decisions in this package reduce to a singular-value zero test, so
 the cutoff policy lives here and is threaded explicitly through every
 operation.  Matrices are plain float64 ndarrays treated as immutable values:
 operations never modify their arguments and always return fresh arrays.
+``scipy.linalg`` is imported only by ``svd``'s ``gesvd`` retry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoSolutionError, NonFiniteError, ShapeMismatchError
 
@@ -49,10 +50,11 @@ class Tolerance:
     abs_eps: float = 1e-12
 
     def __post_init__(self):
-        if not self.rel_eps > 0:
-            raise ValueError("rel_eps must be positive")
-        if self.abs_eps < 0:
-            raise ValueError("abs_eps must be nonnegative")
+        # NaN fails every comparison, so it is rejected with the infinities
+        if not 0 < self.rel_eps < math.inf:
+            raise ValueError(f"rel_eps must be positive and finite, got {self.rel_eps!r}")
+        if not 0 <= self.abs_eps < math.inf:
+            raise ValueError(f"abs_eps must be nonnegative and finite, got {self.abs_eps!r}")
 
     def cutoff(self, scale: float) -> float:
         """Absolute cutoff for quantities whose natural scale is ``scale``."""
@@ -120,6 +122,7 @@ def svd(a, full_matrices: bool = True, compute_uv: bool = True):
             if not compute_uv:
                 return np.stack(parts)
             return tuple(np.stack(p) for p in zip(*parts))
+        import scipy.linalg
         return scipy.linalg.svd(arr, full_matrices=full_matrices, compute_uv=compute_uv,
                                 lapack_driver="gesvd")
 

@@ -9,7 +9,8 @@ established (a working p, a witness pair violating every p up to the bound,
 or undecided with the search bounds).
 
 All partial sums are exact integer arithmetic; witnesses can be re-verified
-by independent summation.
+by independent summation.  ``mpmath`` is imported only by ``_floor_power_of``,
+for exponents whose exact ratio has a denominator above 64.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
-
-import mpmath
 
 from .errors import BadExponentError
 
@@ -52,8 +51,16 @@ class DimSequence:
     def __post_init__(self):
         if not self.dims:
             raise ValueError("a dimension sequence needs at least one entry")
+        dims = tuple(self.dims)
+        # common case, decided in C-level passes: an optional infinite head,
+        # then plain nonnegative ints, which need no cleaning
+        head = (INFINITY,) if dims[0] == INFINITY else ()
+        tail = dims[len(head):]
+        if set(map(type, tail)) == {int} and min(tail) >= 0:
+            object.__setattr__(self, "dims", head + tail)
+            return
         cleaned = []
-        for idx, d in enumerate(self.dims):
+        for idx, d in enumerate(dims):
             if d == INFINITY:
                 if idx != 0:
                     raise ValueError("INFINITY is only allowed at index 0")
@@ -256,6 +263,8 @@ def _floor_power_of(t: float):
     num, den = t.as_integer_ratio()
     if den <= 64:
         return lambda k: _integer_root(k ** num, den)
+
+    import mpmath
 
     def floor_power(k: int) -> int:
         with mpmath.workdps(50):

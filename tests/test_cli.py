@@ -222,6 +222,20 @@ def test_malformed_field_is_parse_error(corpus, tmp_path, capsys, command, build
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("tolerance", [
+    {"rel_eps": 1e-9, "abs_eps": float("nan")},
+    {"rel_eps": 1e-9, "abs_eps": float("inf")},
+    {"rel_eps": float("inf"), "abs_eps": 1e-12},
+], ids=["abs_eps-NaN", "abs_eps-Infinity", "rel_eps-Infinity"])
+def test_nonfinite_tolerance_is_parse_error(corpus, tmp_path, capsys, tolerance):
+    # json writes and reads NaN and Infinity; a NaN cutoff made every rank 0
+    path = write_json(tmp_path, "bad.json",
+                      corpus_payload(corpus, "complex_m2_plain", tolerance=tolerance))
+    assert main(["classify", path]) == EXIT_PARSE
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ParseError" and "tolerance" in error["message"]
+
+
 # --- determinism ----------------------------------------------------------------
 
 def test_reports_bitwise_deterministic():

@@ -6,7 +6,8 @@ a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
 from one class.  An algebra's commutant is computed in ``engine`` only, by the
 transitivity certificate, and read off its report everywhere else.  Every
 error class is raised somewhere.  The CLI turns a bad instance field into a
-``ParseError`` in one guard, ``cli._malformed``.
+``ParseError`` in one guard, ``cli._malformed``.  ``scipy`` and ``mpmath`` are
+imported only inside the functions that call them, never at module level.
 """
 
 import ast
@@ -124,3 +125,22 @@ def test_cli_catches_field_errors_only_in_its_parse_guard():
                for cls in caught):
             offenders.append(f"cli.py:{node.lineno} in {function}")
     assert not offenders, offenders
+
+
+def test_scipy_and_mpmath_are_imported_only_where_called():
+    # importing either at module level costs most of a cold start, and no
+    # corpus instance reaches the three functions that call them
+    deferred = ("scipy", "mpmath")
+    importers = set()
+    for name, tree in modules():
+        for function, node in nodes(tree):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""]
+            else:
+                continue
+            if any(target.split(".")[0] in deferred for target in targets):
+                importers.add((name, function))
+    assert importers == {("engine.py", "riesz_projection"), ("numeric.py", "svd"),
+                         ("ranges.py", "_floor_power_of")}, importers

@@ -38,6 +38,15 @@ def test_tolerance_validation():
     assert Tolerance(rel_eps=1e-6).cutoff(100.0) == pytest.approx(1e-4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("abs_eps", float("nan")), ("abs_eps", float("inf")),
+    ("rel_eps", float("nan")), ("rel_eps", float("inf")),
+])
+def test_tolerance_rejects_nonfinite(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerance(**{field: value})
+
+
 def test_rank_examples():
     assert rank_of([[1, 0], [0, 0]]) == 1
     assert rank_of([[0, 0], [0, 0]]) == 0

@@ -1,6 +1,8 @@
 import math
+import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,27 @@ def test_dims_validation():
         DimSequence((1, 2.5))
     seq = DimSequence((INFINITY, 1, 4))
     assert seq.horizon == 2 and seq.infinite_head
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((INFINITY, 1, -2), "dims[2] = -2 is not"),
+    ((INFINITY,) + (1,) * 100 + (-1,), "dims[101] = -1 is not"),
+    ((1, 2.5, 3), "dims[1] = 2.5 is not"),
+    ((-1, 2), "dims[0] = -1 is not"),
+    ((INFINITY, 1, INFINITY), "INFINITY is only allowed at index 0"),
+])
+def test_dims_validation_names_the_bad_entry(dims, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DimSequence(dims)
+
+
+def test_dims_are_cleaned_to_python_ints():
+    seq = DimSequence([INFINITY, 2.0, np.int64(3), True, 5])
+    assert seq.dims == (INFINITY, 2, 3, 1, 5)
+    assert isinstance(seq.dims, tuple)
+    assert [type(d) for d in seq.dims[1:]] == [int] * 4
+    assert DimSequence((np.float64(INFINITY), 1)).dims[0] is INFINITY
+    assert DimSequence((7, 0, 1)).dims == (7, 0, 1)
 
 
 def test_window_sum_matches_brute():
