@@ -93,8 +93,7 @@ def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
     x /= np.linalg.norm(x)
     wx = w @ x
 
-    stack = algebra.stack()
-    system = np.vstack([(stack @ x).T, (stack @ wx).T])
+    system = np.vstack([(algebra.basis @ x).T, (algebra.basis @ wx).T])
     rhs = np.concatenate([np.zeros(n), target])
     _, residual = solve_least_squares(system, rhs, tol)
     margin = residual / np.linalg.norm(target)
@@ -151,7 +150,6 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     n = algebra.ambient_dim
     units = list(structure.units)
     rng = np.random.default_rng(seed)
-    stack = algebra.stack()
 
     n_targets = n // k
     # One draw holds each trial's family and then its targets, in the stream
@@ -165,14 +163,14 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     batch = []
     for trial, picked in enumerate(picks):
         if len(picked) < n_targets:
-            _verify_trials(stack, batch, tol)  # earlier trials fail first
+            _verify_trials(algebra.basis, batch, tol)  # earlier trials fail first
             raise NoSolutionError(
                 "could not extract a commutant-independent subfamily; "
                 "structure units inconsistent with the algebra"
             )
         batch.append((families[trial, picked], targets[trial]))
         if len(batch) == batch_size or trial == trials - 1:
-            _verify_trials(stack, batch, tol)
+            _verify_trials(algebra.basis, batch, tol)
             batch = []
 
     witness = None
@@ -186,7 +184,7 @@ def _envelope_vecs(structure: DivisionStructure, n: int, tol: Tolerance) -> np.n
     Only I (and J) are imposed: they generate D, so K = IJ adds no constraint."""
     if structure.type is AlgebraType.REAL:
         return np.eye(n * n)
-    return np.stack(commutant_of_matrices(list(structure.units[:2]), tol)).reshape(-1, n * n)
+    return commutant_of_matrices(structure.units[:2], tol).reshape(-1, n * n)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -204,8 +202,7 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
         raise RealTypeInputError(
             "real-type envelope is the full matrix algebra; pass allow_real=True"
         )
-    basis = tuple(v.reshape(n, n) for v in _envelope_vecs(structure, n, tol))
-    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=True)
+    return MatrixAlgebra(n, _envelope_vecs(structure, n, tol).reshape(-1, n, n), unital=True)
 
 
 def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,

@@ -226,8 +226,7 @@ def t_vf(v, f, pcs: PCSOperator) -> np.ndarray:
 def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with S: transitive, complex type,
     dimension n^2/2."""
-    basis = commutant_of_matrices([pcs.matrix], tol)
-    return MatrixAlgebra(ambient_dim=pcs.dim, basis=tuple(basis), unital=True)
+    return MatrixAlgebra(pcs.dim, commutant_of_matrices([pcs.matrix], tol), unital=True)
 
 
 def _check_invariant(pair: GenericPair, ops: dict, tol: Tolerance) -> None:
@@ -347,5 +346,4 @@ def rep_commutant_algebra(rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> Matrix
     """The algebra of all matrices commuting with the representation:
     transitive, quaternion type, dimension n^2/4."""
     # Commuting with pi(i) and pi(j) forces commuting with the whole group.
-    basis = commutant_of_matrices([rep.pi["i"], rep.pi["j"]], tol)
-    return MatrixAlgebra(ambient_dim=rep.n, basis=tuple(basis), unital=True)
+    return MatrixAlgebra(rep.n, commutant_of_matrices([rep.pi["i"], rep.pi["j"]], tol), unital=True)

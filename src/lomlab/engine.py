@@ -1,7 +1,8 @@
 """Core computations on matrix algebras.
 
-An algebra is stored as a linear basis of n x n matrices together with its
-ambient dimension and a unitality flag.  The operations here cover generated
+An algebra is stored as a linear basis of n x n matrices, one read-only (dim, n, n)
+array, together with its ambient dimension and a unitality flag; a commutant is an
+array of the same form.  The operations here cover generated
 closure, commutants, transitivity certificates, minimal rank, strict
 interpolation over the commutant division algebra, real spectral (Riesz)
 projections, and idempotent lifting modulo a nilpotent ideal.
@@ -39,6 +40,7 @@ from .numeric import (
     Tolerance,
     as_matrix,
     as_vector,
+    nullspace_of,
     orthonormal_rows,
     rank_of,
     solve_least_squares,
@@ -57,7 +59,6 @@ __all__ = [
     "riesz_projection",
     "lift_idempotent",
     "d_independent_subfamily",
-    "expansion_residual",
 ]
 
 
@@ -65,35 +66,38 @@ __all__ = [
 class MatrixAlgebra:
     """Linear basis of an algebra of n x n real matrices.
 
-    ``basis`` elements are linearly independent as vectors in R^(n^2) and the
-    span is expected to be closed under products; ``validate`` checks both.
-    ``unital`` records whether the identity lies in the span.
+    ``basis`` is kept as a read-only float64 copy of shape (dim, n, n), (0, n, n)
+    for the zero algebra.  Its elements are linearly independent as vectors in
+    R^(n^2) and the span is expected to be closed under products; ``validate``
+    checks both.  ``unital`` records whether the identity lies in the span.
     """
 
     ambient_dim: int
-    basis: tuple
+    basis: np.ndarray
     unital: bool
 
     def __post_init__(self):
-        mats = tuple(as_matrix(b, square=True) for b in self.basis)
-        if any(m.shape != (self.ambient_dim, self.ambient_dim) for m in mats):
+        n = self.ambient_dim
+        try:  # a ragged sequence raises ValueError
+            mats = np.array(self.basis, dtype=float) if len(self.basis) else np.zeros((0, n, n))
+        except ValueError as exc:
+            raise ShapeMismatchError(f"basis elements differ in shape: {exc}") from exc
+        if mats.shape[1:] != (n, n):
             raise ShapeMismatchError("basis elements must match the ambient dimension")
+        if not np.all(np.isfinite(mats)):
+            raise NonFiniteError("matrix contains NaN or Inf entries")
+        mats.flags.writeable = False
         object.__setattr__(self, "basis", mats)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def stack(self) -> np.ndarray:
-        return np.stack(self.basis)
-
     def vec_basis(self) -> np.ndarray:
-        n = self.ambient_dim
-        return self.stack().reshape(self.dim, n * n)
+        return self.basis.reshape(self.dim, -1)
 
     def element(self, coeffs) -> np.ndarray:
-        c = np.asarray(coeffs, dtype=float)
-        return np.tensordot(c, self.stack(), axes=1)
+        return np.tensordot(np.asarray(coeffs, dtype=float), self.basis, axes=1)
 
     def contains(self, m, tol: Tolerance = DEFAULT_TOL):
         """Expand ``m`` in the basis; returns ``(coeffs, residual)``."""
@@ -107,8 +111,7 @@ class MatrixAlgebra:
         span = orthonormal_rows(self.vec_basis(), tol)
         if span.shape[0] != self.dim:
             raise ShapeMismatchError("basis is linearly dependent")
-        stack = self.stack()
-        products = np.einsum("aij,bjk->abik", stack, stack).reshape(-1, n * n)
+        products = np.einsum("aij,bjk->abik", self.basis, self.basis).reshape(-1, n * n)
         residuals = np.linalg.norm(products - (products @ span.T) @ span, axis=1)
         scales = np.maximum(1.0, np.linalg.norm(products, axis=1))
         worst = float(np.max(residuals / scales))
@@ -134,14 +137,6 @@ class TransitivityReport:
     witness: Optional[tuple] = None
     seed: int = 0
     structure: Optional[DivisionStructure] = None
-
-
-def expansion_residual(m, basis_vecs: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Relative residual of expanding matrix ``m`` in the rows of ``basis_vecs``."""
-    target = np.asarray(m, dtype=float).reshape(-1)
-    scale = max(1.0, float(np.linalg.norm(target)))
-    _, res = solve_least_squares(basis_vecs.T, target, tol)
-    return res / scale
 
 
 def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
@@ -185,14 +180,13 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
             break
         span = new_span
 
-    basis = tuple(row.reshape(n, n) for row in span)
     eye = np.eye(n).reshape(-1)
     ident_res = np.linalg.norm(eye - (span @ eye) @ span) / math.sqrt(n)
-    return MatrixAlgebra(ambient_dim=n, basis=basis, unital=bool(tol.residual_ok(ident_res)))
+    return MatrixAlgebra(n, span.reshape(-1, n, n), unital=bool(tol.residual_ok(ident_res)))
 
 
-def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Orthonormal basis (trace form) of {X : XB = BX for every B in mats}.
+def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (k, n, n) basis (trace form) of {X : XB = BX for every B in mats}.
 
     Computed as the common nullspace of the stacked maps X -> XB - BX.
     """
@@ -207,14 +201,11 @@ def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> list:
         bb = b / nrm if nrm > tol.abs_eps else b
         # row-major vec: vec(X B) = (I (x) B^T) vec X, vec(B X) = (B (x) I) vec X
         blocks.append(np.kron(eye, bb.T) - np.kron(bb, eye))
-    stacked = np.vstack(blocks)
-    _, s, vt = svd(stacked, full_matrices=False)
-    null = vt[tol.rank(s, _CONDITIONING_BUDGET):]
-    return [null[j].reshape(n, n) for j in range(null.shape[0])]
+    return nullspace_of(np.vstack(blocks), tol, _CONDITIONING_BUDGET).T.reshape(-1, n, n)
 
 
-def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Orthonormal basis of the commutant of the algebra.
+def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the commutant of the algebra, as a (k, n, n) array.
 
     The commutant of the span equals the commutant of any generating subset,
     so for large bases a few pseudo-random combinations are used first and
@@ -223,17 +214,16 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
     until clean.  A repeated offender raises NoConvergenceError.
     """
     n = algebra.ambient_dim
-    basis = list(algebra.basis)
+    basis = list(algebra.basis)  # fixed views: an offender is matched by identity
     if len(basis) <= 6:
         gens = list(basis)
     else:
         rng = np.random.default_rng(12345)
-        stack = algebra.stack()
-        gens = [np.tensordot(rng.standard_normal(len(basis)), stack, axes=1)
+        gens = [np.tensordot(rng.standard_normal(len(basis)), algebra.basis, axes=1)
                 for _ in range(4)]
 
     for _ in range(len(basis) + 1):
-        candidates = commutant_of_matrices(gens, tol) if gens else []
+        candidates = commutant_of_matrices(gens, tol) if gens else np.zeros((0, n, n))
         offender = next((b for x in candidates for b in basis if not tol.relation_ok(
             np.linalg.norm(x @ b - b @ x),
             max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET, n)), None)
@@ -245,20 +235,14 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
     raise NoConvergenceError("commutant candidates fail to commute with a generator")
 
 
-def _kernel(m: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal kernel columns of ``m`` (rows >= cols), cut with the conditioning budget."""
-    _, s, vt = svd(m, full_matrices=False)
-    return vt[tol.rank(s, _CONDITIONING_BUDGET):].T
-
-
-def _eigenspaces(comm: tuple, n: int, tol: Tolerance, seed: int):
+def _eigenspaces(comm: np.ndarray, n: int, tol: Tolerance, seed: int):
     """Kernels of c - lambda I, or of c^2 - 2 Re(lambda) c + |lambda|^2 I for a non-real
     lambda, for 8 seeded random traceless commutant elements c.  If that kernel
     is everything, j = (c - Re(lambda) I) / Im(lambda) is a complex structure; later
     draws take c + j c j, which anticommutes with j: real spectrum in M_2(R)."""
     rng = np.random.default_rng(seed)
     eye = np.eye(n)
-    cstack = np.stack([c - np.trace(c) / n * eye for c in comm])
+    cstack = comm - np.trace(comm, axis1=1, axis2=2)[:, None, None] / n * eye
     j = np.zeros((n, n))  # no complex structure found yet
     for _ in range(8):
         c = np.tensordot(rng.standard_normal(len(comm)), cstack, axes=1)
@@ -266,27 +250,29 @@ def _eigenspaces(comm: tuple, n: int, tol: Tolerance, seed: int):
         eigs = np.linalg.eigvals(c)
         lam = eigs[0]
         if abs(lam.imag) <= tol.spectral_floor(float(np.max(np.abs(eigs)))):
-            yield _kernel(c - lam.real * eye, tol)
+            yield nullspace_of(c - lam.real * eye, tol, _CONDITIONING_BUDGET)
         else:
-            yield _kernel(c @ c - 2 * lam.real * c + abs(lam) ** 2 * eye, tol)
+            yield nullspace_of(c @ c - 2 * lam.real * c + abs(lam) ** 2 * eye, tol,
+                               _CONDITIONING_BUDGET)
             j = (c - lam.real * eye) / lam.imag
 
 
-def _witness(algebra: MatrixAlgebra, comm: tuple, tol: Tolerance, seed: int):
+def _witness(algebra: MatrixAlgebra, comm: np.ndarray, tol: Tolerance, seed: int):
     """Leak-checked proper invariant subspace ``(x, W)`` of a non-transitive algebra, x =
     W[:, 0], or None.  The radical J, the kernel of the trace form tr(b_i b_j) (Dickson),
     gives J V and the common kernel of J; a semisimple algebra, commutant eigenspaces."""
     n = algebra.ambient_dim
     if not any(np.linalg.norm(b) > tol.abs_eps for b in algebra.basis):
         return np.eye(n)[0], np.eye(n)[:, :1]  # the zero algebra leaves every line invariant
-    stack = algebra.stack()
-    _, s, vt = svd(stack.reshape(algebra.dim, -1) @ stack.transpose(0, 2, 1).reshape(algebra.dim, -1).T)
-    radical = np.tensordot(vt[tol.rank(s, _CONDITIONING_BUDGET):], stack, axes=1)
+    stack = algebra.basis
+    trace_form = algebra.vec_basis() @ stack.transpose(0, 2, 1).reshape(algebra.dim, -1).T
+    radical = np.tensordot(nullspace_of(trace_form, tol, _CONDITIONING_BUDGET).T, stack, axes=1)
     if len(radical):
         u, s, _ = svd(np.hstack(radical), full_matrices=False)
-        candidates = [u[:, :tol.rank(s, _CONDITIONING_BUDGET)], _kernel(np.vstack(radical), tol)]
+        candidates = [u[:, :tol.rank(s, _CONDITIONING_BUDGET)],
+                      nullspace_of(radical.reshape(-1, n), tol, _CONDITIONING_BUDGET)]
     else:
-        candidates = _eigenspaces(comm, n, tol, seed) if comm else []
+        candidates = _eigenspaces(comm, n, tol, seed) if len(comm) else []
     for w in candidates:
         imgs = stack @ w
         leak = float(np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2))))
@@ -300,7 +286,7 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     """Burnside's count: transitive exactly when the commutant is a division algebra D
     and dim A * dim D = n^2.  The verdict does not depend on ``seed``, which steers
     only the witness search."""
-    comm = tuple(commutant(algebra, tol))
+    comm = commutant(algebra, tol)
     try:
         structure = frobenius_recognize(comm, tol)
     except (BadDimensionError, NotAntiInvolutiveError):
@@ -321,7 +307,6 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
     if not pairs:
         raise ShapeMismatchError("at least one interpolation pair is required")
     n = algebra.ambient_dim
-    stack = algebra.stack()
     rows = []
     rhs = []
     max_y = 0.0
@@ -330,7 +315,7 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
         yv = as_vector(y)
         if xv.size != n or yv.size != n:
             raise ShapeMismatchError("interpolation vectors must match the ambient dimension")
-        rows.append((stack @ xv).T)  # columns indexed by basis element
+        rows.append((algebra.basis @ xv).T)  # columns indexed by basis element
         rhs.append(yv)
         max_y = max(max_y, float(np.linalg.norm(yv)))
     system = np.vstack(rows)
@@ -526,22 +511,20 @@ def lift_idempotent(comm_algebra: MatrixAlgebra, j_ideal, w, tol: Tolerance = DE
 
     wm = as_matrix(w, square=True)
     w_scale = max(1.0, float(np.linalg.norm(wm)))
-    ideal = [as_matrix(j, square=True) for j in j_ideal]
+    ideal = MatrixAlgebra(n, j_ideal, unital=False)  # an ideal is closed under products
     _, res = comm_algebra.contains(wm, tol)
     if not tol.residual_ok(res, w_scale):
         raise ValueError("W does not lie in the span of the commutative algebra")
-    ideal_vecs = (np.stack([j.reshape(-1) for j in ideal])
-                  if ideal else np.zeros((0, n * n)))
 
-    def in_ideal(m):
-        if ideal_vecs.shape[0] == 0:
+    def in_ideal(m):  # relative residual of expanding m in the ideal
+        if not ideal.dim:  # contains() needs a nonempty basis
             return float(np.linalg.norm(m))
-        return expansion_residual(m, ideal_vecs, tol)
+        return ideal.contains(m, tol)[1] / max(1.0, float(np.linalg.norm(m)))
 
     defect = wm @ wm - wm
     if not tol.residual_ok(in_ideal(defect)):
         raise ValueError("W^2 - W does not lie in the ideal span")
-    for j in ideal:
+    for j in ideal.basis:
         radius = float(np.max(np.abs(np.linalg.eigvals(j))))
         if not tol.residual_ok(radius, max(1.0, float(np.linalg.norm(j)))):
             raise ValueError("ideal basis element is not nilpotent")

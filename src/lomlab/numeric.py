@@ -155,14 +155,16 @@ def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:
     return tol.rank(svd(a, compute_uv=False))
 
 
-def nullspace_of(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def nullspace_of(m, tol: Tolerance = DEFAULT_TOL, budget: float = 1.0) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, as the columns of an (n, k) array.
 
-    k equals ``cols - rank_of(m)``; an empty (n, 0) array means trivial kernel.
+    k equals ``cols - tol.rank(s, budget)``; an empty (n, 0) array means trivial
+    kernel.  This is the one kernel cut.  The result stays a view of Vᵀ: witnesses
+    move if its memory order does.
     """
     a = as_matrix(m)
-    _, s, vt = svd(a)
-    return vt[tol.rank(s):].T.copy()
+    _, s, vt = svd(a, full_matrices=a.shape[0] < a.shape[1])
+    return vt[tol.rank(s, budget):].T
 
 
 def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):

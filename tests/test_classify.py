@@ -171,7 +171,7 @@ def test_density_witness_infeasibility_is_real():
     alg = embedded_complex_algebra(rng, 2)
     structure = frobenius_recognize(commutant(alg))
     _, witness = density_degree(alg, structure, trials=5)
-    stack = alg.stack()
+    stack = alg.basis
     system = np.vstack([(stack @ witness.x).T, (stack @ witness.unit_image).T])
     rhs = np.concatenate([np.zeros(4), witness.target])
     _, residual = solve_least_squares(system, rhs)

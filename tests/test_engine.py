@@ -94,6 +94,43 @@ def test_generate_zero_algebra_is_rejected_with_a_line():
     assert np.array_equal(report.witness[1], np.eye(3)[:, :1])
 
 
+def test_basis_is_one_read_only_array():
+    mats = (np.eye(2), J2)
+    given_array = np.stack(mats)
+    from_tuple = MatrixAlgebra(2, mats, unital=True)
+    from_array = MatrixAlgebra(2, given_array, unital=True)
+    assert from_tuple.basis.dtype == np.float64 and from_tuple.basis.shape == (2, 2, 2)
+    assert np.array_equal(from_tuple.basis, from_array.basis)
+    for view in (from_tuple.basis, from_tuple.vec_basis(), from_tuple.basis[1]):
+        with pytest.raises(ValueError):
+            view[0, 0] = 5.0
+    # the algebra keeps a copy: the caller's array stays writeable and unshared
+    given_array[0, 0, 0] = 5.0
+    assert from_array.basis[0, 0, 0] == 1.0
+
+
+def test_zero_algebra_basis_has_shape_0_n_n():
+    assert generate_algebra([np.zeros((3, 3))], include_identity=False).basis.shape == (0, 3, 3)
+    assert MatrixAlgebra(3, (), unital=False).basis.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("basis", [
+    (np.eye(2), np.eye(3)),
+    (np.eye(3),),
+    (np.ones((2, 3)),),
+    (np.ones(4),),
+    np.ones((2, 2)),
+], ids=["ragged", "wrong-size", "not-square", "vector", "one-matrix-not-a-stack"])
+def test_basis_rejects_misshapen_input(basis):
+    with pytest.raises(ShapeMismatchError):
+        MatrixAlgebra(2, basis, unital=False)
+
+
+def test_basis_rejects_nonfinite_input():
+    with pytest.raises(NonFiniteError):
+        MatrixAlgebra(2, (np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])), unital=False)
+
+
 def test_generate_unital_flag_is_a_python_bool():
     # a numpy bool in the flag would break json.dump of reports
     assert type(generate_algebra([J2], include_identity=False).unital) is bool
@@ -195,11 +232,21 @@ def test_commutant_offender_loop_reaches_the_full_commutant():
 def test_commutant_raises_when_a_candidate_never_commutes(monkeypatch):
     # A candidate that fails the check against the basis every time must end in
     # NoConvergenceError, on the small-basis path (n = 2) and the sampled one (n = 3).
-    monkeypatch.setattr(engine, "commutant_of_matrices",
-                        lambda mats, tol=None: [np.triu(np.ones_like(mats[0]), 1)])
+    calls = []
+
+    def never_commutes(mats, tol=None):
+        calls.append(len(mats))
+        return [np.triu(np.ones_like(mats[0]), 1)]
+
+    monkeypatch.setattr(engine, "commutant_of_matrices", never_commutes)
     for n in (2, 3):
+        calls.clear()
         with pytest.raises(NoConvergenceError):
             commutant(generate_algebra(matrix_units(n), include_identity=True))
+        if n == 2:
+            # the offender is one of the four generators, found by identity, so the
+            # small-basis path stops after its first commutant computation
+            assert calls == [4]
 
 
 # --- transitivity ------------------------------------------------------------
@@ -532,6 +579,14 @@ def test_similarity_invariance():
     assert d1.type is d2.type
     assert min_rank(alg, d1) == min_rank(conj, d2)
     assert len(commutant(alg)) == len(commutant(conj))
+
+
+def test_commutant_is_a_k_n_n_array():
+    comm = commutant_of_matrices([J2])
+    assert isinstance(comm, np.ndarray) and comm.shape == (2, 2, 2)
+    comm = commutant(generate_algebra([embed_quaternion(I_Q), embed_quaternion(J_Q)],
+                                      include_identity=False))
+    assert isinstance(comm, np.ndarray) and comm.shape == (4, 4, 4)
 
 
 def test_commutant_of_matrices_contains_identity():

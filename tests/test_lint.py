@@ -3,8 +3,9 @@
 Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
-from one class.  An algebra's commutant is computed in ``engine`` only, by the
-transitivity certificate, and read off its report everywhere else.  Every
+from one class; every kernel is cut in one place, ``numeric.nullspace_of``.
+An algebra's commutant is computed in ``engine`` only, by the transitivity
+certificate, and read off its report everywhere else.  Every
 error class is raised somewhere.  The CLI turns a bad instance field into a
 ``ParseError`` in one guard, ``cli._malformed``.  ``scipy`` and ``mpmath`` are
 imported only inside the functions that call them, never at module level.
@@ -70,6 +71,20 @@ def test_cutoff_is_taken_only_in_numeric():
         for name, tree in modules() if name != "numeric.py"
         for _, call in calls(tree)
         if isinstance(call.func, ast.Attribute) and call.func.attr == "cutoff"
+    ]
+    assert not offenders, offenders
+
+
+def test_kernel_is_cut_only_in_nullspace_of():
+    # a slice that starts at a rank count, like vt[tol.rank(s):], keeps the kernel rows of
+    # an SVD factor; numeric.nullspace_of is the one helper that takes it
+    offenders = [
+        f"{name}:{node.lineno} in {function}"
+        for name, tree in modules()
+        for function, node in nodes(tree)
+        if isinstance(node, ast.Slice) and isinstance(node.lower, ast.Call)
+        and isinstance(node.lower.func, ast.Attribute) and node.lower.func.attr == "rank"
+        and (name, function) != ("numeric.py", "nullspace_of")
     ]
     assert not offenders, offenders
 

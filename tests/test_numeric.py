@@ -267,6 +267,11 @@ def test_singular_value_at_cutoff_is_zero(tol, s0, rows, cols, bump):
     rank = 2 if bump else 1
     assert rank_of(m, tol) == rank
     assert nullspace_of(m, tol).shape[1] == cols - rank
+    s = svd(m, compute_uv=False)
+    for budget in (1.0, 1e3):  # the commutant and witness cuts pass 1e3
+        kept = 1 + int(second > tol.cutoff(s0 * budget))
+        assert tol.rank(s, budget) == kept
+        assert nullspace_of(m, tol, budget).shape[1] == cols - kept
     assert orthonormal_rows(m, tol).shape[0] == rank
     b = np.zeros(rows)
     b[1] = 1.0
