@@ -22,9 +22,10 @@ from .engine import (
     d_independent_subfamily,
     is_transitive,
     min_rank,
+    strict_interpolate,
 )
 from .errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares, svd
+from .numeric import DEFAULT_TOL, Tolerance, orthonormal_rows, solve_least_squares, svd
 
 __all__ = [
     "DensityObstruction",
@@ -100,36 +101,30 @@ def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
     return DensityObstruction(x=x, unit_image=wx, target=target, margin=float(margin))
 
 
-# Byte budget for the stacked interpolation systems of one batch of density
-# trials; their thin SVD and residuals need a few times as much again.
-# Batching saves per-trial Python overhead, which matters only at small n,
-# where the SVDs are cheap: all 25 default trials fit one batch up to a real
-# n = 10, and from a real n = 20 on each trial is solved alone, as unbatched.
-_DENSITY_BATCH_BYTES = 2 * 2**20
+def _closed_form_residuals(algebra: MatrixAlgebra, units: list, xs: np.ndarray,
+                           ys: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Worst residual max_i ||T x_i - y_i|| of each trial's D-linear interpolant:
+    T^T = X_D^-1 Y_D over the rows x_i, U x_i, ... and y_i, U y_i, ... for the units
+    U, projected onto the algebra's span and refined once from the rows r_i, U r_i of
+    the residuals r_i = y_i - T x_i (Y_D - X_D T^T would put back the unit rows'
+    rounding).  Infinite where X_D does not solve."""
+    n = algebra.ambient_dim
+    span = orthonormal_rows(algebra.vec_basis(), tol)
 
+    def d_rows(v):  # rows v_i, U v_i, ... of each trial
+        return np.stack([v] + [v @ np.asarray(u).T for u in units], axis=2).reshape(len(v), -1, n)
 
-def _verify_trials(stack: np.ndarray, batch: list, tol: Tolerance) -> None:
-    """Solve the interpolation systems of a batch of density trials in one
-    batched least-squares solve, and raise the first trial's failure.
+    def interpolant(rows):  # T with T x_i = rows_i over D, projected onto the span
+        t = np.swapaxes(np.linalg.solve(x_d, d_rows(rows)), 1, 2).reshape(len(rows), -1)
+        return ((t @ span.T) @ span).reshape(-1, n, n)
 
-    Each trial ``(xs, ys)`` asks for T in the algebra with T xs[i] = ys[i];
-    it is checked as ``strict_interpolate`` checks one system.
-    """
-    if not batch:
-        return
-    xs = np.stack([x for x, _ in batch])
-    ys = np.stack([y for _, y in batch])
-    trials, m, n = xs.shape
-    # Row i*n + r, column j of a trial's system is (B_j xs[i])_r.
-    systems = np.tensordot(xs, stack, axes=([2], [2])).transpose(0, 1, 3, 2)
-    systems = systems.reshape(trials, m * n, stack.shape[0])
-    rhs = ys.reshape(trials, m * n)
-    coeffs, _ = solve_least_squares(systems, rhs, tol)
-    residuals = (systems @ coeffs[..., None])[..., 0] - rhs
-    worst = np.linalg.norm(residuals.reshape(trials, m, n), axis=2).max(axis=1)
-    max_y = np.linalg.norm(ys, axis=2).max(axis=1)
-    for w, y in zip(worst, max_y):
-        tol.check_interpolation(float(w), float(y))
+    try:
+        x_d = d_rows(xs)
+        t = interpolant(ys)
+        t += interpolant(ys - xs @ np.swapaxes(t, 1, 2))
+    except np.linalg.LinAlgError:  # X_D singular or not square: a structure that does not fit
+        return np.full(len(xs), np.inf)
+    return np.linalg.norm(ys - xs @ np.swapaxes(t, 1, 2), axis=2).max(axis=1)
 
 
 def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
@@ -137,11 +132,14 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
 
     Verification: for ``trials`` seeded random instances, a family of k*n
-    independent vectors is reduced greedily to n vectors independent over the
+    independent vectors is reduced greedily to n/k vectors independent over the
     commutant, and the interpolation onto random targets must solve exactly.
-    All families are reduced in one batched greedy pass, and the trials'
-    systems are solved in batches; a failure is raised for the first failing
-    trial, as if the trials ran one by one.
+    All families are reduced in one batched greedy pass.  Each trial is
+    interpolated by the closed-form D-linear map Y_D X_D^-1 projected onto the
+    algebra, all trials in one batch; a trial whose residual misses the
+    threshold is solved again by least squares with ``strict_interpolate``,
+    whose residual decides it.  A failure is raised for the first failing
+    trial, and a family short of n/k picks fails only after the trials before it.
     For k > 1 an infeasible witness pair is produced as well.
 
     Returns ``(k, witness_or_None)``.
@@ -159,19 +157,20 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     targets = draws[:, k * n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
     picks = d_independent_subfamily(families, units, tol, need=n_targets)
-    batch_size = max(1, _DENSITY_BATCH_BYTES // (8 * n_targets * n * algebra.dim))
-    batch = []
-    for trial, picked in enumerate(picks):
-        if len(picked) < n_targets:
-            _verify_trials(algebra.basis, batch, tol)  # earlier trials fail first
-            raise NoSolutionError(
-                "could not extract a commutant-independent subfamily; "
-                "structure units inconsistent with the algebra"
-            )
-        batch.append((families[trial, picked], targets[trial]))
-        if len(batch) == batch_size or trial == trials - 1:
-            _verify_trials(algebra.basis, batch, tol)
-            batch = []
+    short = next((t for t, p in enumerate(picks) if len(p) < n_targets), trials)
+    xs = np.reshape([families[t, p] for t, p in enumerate(picks[:short])], (short, n_targets, n))
+    ys = targets[:short]
+    worst = _closed_form_residuals(algebra, units, xs, ys, tol) if short else ()
+    for x, y, w in zip(xs, ys, worst):
+        try:
+            tol.check_interpolation(float(w), float(np.linalg.norm(y, axis=1).max()))
+        except NoSolutionError:  # least squares decides a miss and reports its residual
+            strict_interpolate(algebra, list(zip(x, y)), tol)
+    if short < trials:
+        raise NoSolutionError(
+            "could not extract a commutant-independent subfamily; "
+            "structure units inconsistent with the algebra"
+        )
 
     witness = None
     if k > 1:

@@ -214,7 +214,8 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     until clean.  A repeated offender raises NoConvergenceError.
     """
     n = algebra.ambient_dim
-    basis = list(algebra.basis)  # fixed views: an offender is matched by identity
+    # fixed views: an offender is matched by identity; {0} commutes with all of M_n
+    basis = list(algebra.basis) or [np.zeros((n, n))]
     if len(basis) <= 6:
         gens = list(basis)
     else:
@@ -223,7 +224,7 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
                 for _ in range(4)]
 
     for _ in range(len(basis) + 1):
-        candidates = commutant_of_matrices(gens, tol) if gens else np.zeros((0, n, n))
+        candidates = commutant_of_matrices(gens, tol)
         offender = next((b for x in candidates for b in basis if not tol.relation_ok(
             np.linalg.norm(x @ b - b @ x),
             max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET, n)), None)

@@ -173,37 +173,21 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
     Returns ``(x, residual)`` with ``residual = ||a x - b||`` (Frobenius norm
     when b has several columns).  Singular values below the tolerance cutoff
     are discarded, which is what makes the solution the minimum-norm one.
-
-    ``a`` may carry one leading batch axis, shape ``(batch, rows, cols)``,
-    with ``b`` of shape ``(batch, rows)`` or ``(batch, rows, k)``: each system
-    is solved on its own, with its own cutoff, and ``residual`` is then an
-    array of ``batch`` norms.
     """
-    am = np.array(a, dtype=float)
-    if am.ndim not in (2, 3) or 0 in am.shape[-2:]:
-        raise ShapeMismatchError(f"expected a matrix or a batch of matrices, got shape {am.shape}")
-    if not np.all(np.isfinite(am)):
-        raise NonFiniteError("matrix contains NaN or Inf entries")
-    barr = np.array(b, dtype=float)
-    if not np.all(np.isfinite(barr)):
+    am = as_matrix(a)
+    bm = np.array(b, dtype=float)
+    if not np.all(np.isfinite(bm)):
         raise NonFiniteError("right-hand side contains NaN or Inf entries")
-    vector_rhs = barr.ndim == am.ndim - 1
-    bm = barr[..., None] if vector_rhs else barr
-    if bm.shape[:-1] != am.shape[:-1]:
-        raise ShapeMismatchError(
-            f"row counts disagree: {am.shape[:-1]} vs {bm.shape[:-1]}"
-        )
-    u, s, vt = svd(am, full_matrices=False)
-    keep = np.arange(s.shape[-1]) < np.expand_dims(tol.rank(s), -1)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    x = np.swapaxes(vt, -1, -2) @ (inv_s[..., None] * (np.swapaxes(u, -1, -2) @ bm))
-    if am.ndim == 2:
-        residual = float(np.linalg.norm(am @ x - bm))
-    else:
-        residual = np.linalg.norm(am @ x - bm, axis=(-2, -1))
+    vector_rhs = bm.ndim == 1
     if vector_rhs:
-        x = x[..., 0]
-    return x, residual
+        bm = bm[:, None]
+    if bm.ndim != 2 or bm.shape[0] != am.shape[0]:
+        raise ShapeMismatchError(f"row counts disagree: {am.shape} vs {bm.shape}")
+    u, s, vt = svd(am, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(len(s)) < tol.rank(s))
+    x = vt.T @ (inv_s[:, None] * (u.T @ bm))
+    residual = float(np.linalg.norm(am @ x - bm))
+    return (x[:, 0] if vector_rhs else x), residual
 
 
 def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1,4 +1,5 @@
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import planted_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, classify_type, density_degree, envelope
+from lomlab.cli import run_instance
 from lomlab.division import (
     AlgebraType,
     DivisionStructure,
@@ -14,6 +16,7 @@ from lomlab.division import (
     embed_complex,
     embed_quaternion,
     frobenius_recognize,
+    left_mult_matrix,
 )
 from lomlab.engine import (
     MatrixAlgebra,
@@ -89,6 +92,13 @@ def conjugated_reducible_algebra(kind, n, split, p):
         units = [np.outer(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(n)
                  if (i < split or j >= split)
                  and (kind == "triangular" or (i < split) == (j < split))]
+    return conjugated_span(units, p)
+
+
+def conjugated_span(units, p):
+    """The matrices p u p^-1 over ``units``, and the algebra they span with an
+    orthonormal basis, as generate_algebra returns it but with no closure rounds."""
+    n = len(p)
     mats = [p @ u @ np.linalg.inv(p) for u in units]
     basis = orthonormal_rows(np.stack([m.reshape(-1) for m in mats]))
     return mats, MatrixAlgebra(n, tuple(basis.reshape(-1, n, n)), unital=True)
@@ -181,7 +191,8 @@ def test_density_witness_infeasibility_is_real():
 
 def trial_by_trial_failure(algebra, structure, trials, seed=0):
     """The first NoSolutionError of the density trials, each solved on its own
-    with ``strict_interpolate`` (the reference for the batched solve)."""
+    with ``strict_interpolate`` (the reference for the least-squares fallback
+    that decides a trial the closed form misses)."""
     k, n = structure.commutant_dim, algebra.ambient_dim
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -196,11 +207,7 @@ def trial_by_trial_failure(algebra, structure, trials, seed=0):
     return None
 
 
-@pytest.mark.parametrize("batch_bytes", [None, 1])
-def test_density_mismatched_structure_fails_like_single_trials(
-        corpus_algebras, monkeypatch, batch_bytes):
-    if batch_bytes is not None:  # one trial per batch
-        monkeypatch.setattr(classify_module, "_DENSITY_BATCH_BYTES", batch_bytes)
+def test_density_mismatched_structure_fails_like_single_trials(corpus_algebras):
     alg, _ = corpus_algebras["complex_m2_plain"]
     wrong = DivisionStructure(AlgebraType.REAL, ())
     with pytest.raises(NoSolutionError) as exc:
@@ -208,6 +215,65 @@ def test_density_mismatched_structure_fails_like_single_trials(
     assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-3
     reference = trial_by_trial_failure(alg, wrong, trials=5)
     assert exc.value.residual == pytest.approx(reference.residual, rel=1e-9)
+
+
+def least_squares_fallbacks():
+    """Patch that counts the density trials solved again by least squares, the
+    ones on which the closed form missed (``call_count`` of the patch)."""
+    return mock.patch.object(classify_module, "strict_interpolate", wraps=strict_interpolate)
+
+
+def test_density_closed_form_needs_its_refinement_step():
+    # M_2(C) on R^4 conjugated at kappa = 1e3: its recognized unit has condition
+    # ~2.5e5, and the unrefined closed form misses the threshold by about 8x.  The
+    # refinement step must extend the residual rows D-linearly to pass.
+    rng = np.random.default_rng(19)
+    gens = [embed_complex(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+            for _ in range(2)]
+    p = random_similarity(rng, 4, 1e3)
+    pinv = np.linalg.inv(p)
+    alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
+    structure = frobenius_recognize(commutant(alg))
+    assert np.linalg.cond(structure.units[0]) > 1e5
+    with least_squares_fallbacks() as fallbacks:
+        k, witness = density_degree(alg, structure)
+    assert k == 2 and witness.margin >= 0.1
+    assert fallbacks.call_count == 0
+
+
+# Real bases of R, C and H, as matrices of left multiplication.
+DIVISION_BASES = {"Real": [np.eye(1)], "Complex": [np.eye(2), J2],
+                  "Quaternion": [left_mult_matrix(Quaternion(*e)) for e in np.eye(4)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(DIVISION_BASES)), m=st.integers(1, 8),
+       log_kappa=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
+def test_density_closed_form_decides_conjugated_full_algebras(kind, m, log_kappa, seed):
+    # M_m(D) on R^(km), ambient at most 8, conjugated by a similarity of condition
+    # 10^[0, 3]; an exact orthonormal basis keeps the closure out of the test
+    d_basis = DIVISION_BASES[kind]
+    k = len(d_basis)
+    m = min(m, 8 // k)
+    eye = np.eye(m)
+    units = [np.kron(np.outer(eye[i], eye[j]), u)
+             for i in range(m) for j in range(m) for u in d_basis]
+    rng = np.random.default_rng(seed)
+    _, alg = conjugated_span(units, random_similarity(rng, k * m, 10.0 ** log_kappa))
+    report = is_transitive(alg)
+    assert report.transitive and report.structure.commutant_dim == k
+    with least_squares_fallbacks() as fallbacks:
+        assert density_degree(alg, report.structure, seed=seed)[0] == k
+    assert fallbacks.call_count == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_corpus_density_needs_no_least_squares(corpus, seed):
+    with least_squares_fallbacks() as fallbacks:
+        for payload in corpus.values():
+            if payload["kind"] == "algebra":
+                run_instance(payload, seed_override=seed)
+    assert fallbacks.call_count == 0
 
 
 def test_density_zero_trials(corpus_algebras):

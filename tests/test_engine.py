@@ -589,6 +589,16 @@ def test_commutant_is_a_k_n_n_array():
     assert isinstance(comm, np.ndarray) and comm.shape == (4, 4, 4)
 
 
+def test_commutant_of_the_zero_algebra_is_everything():
+    # the commutant of {0} is M_n, whether the zero algebra has an empty basis or
+    # a zero basis element
+    for alg in (generate_algebra([np.zeros((3, 3))], include_identity=False),
+                MatrixAlgebra(3, [np.zeros((3, 3))], unital=False)):
+        comm = commutant(alg)
+        assert comm.shape == (9, 3, 3)
+        assert rank_of(comm.reshape(9, -1)) == 9
+
+
 def test_commutant_of_matrices_contains_identity():
     comm = commutant_of_matrices([N2])
     vecs = np.stack([c.reshape(-1) for c in comm])
