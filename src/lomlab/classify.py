@@ -131,16 +131,17 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
                    trials: int = 25, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
 
-    Verification: for ``trials`` seeded random instances, a family of k*n
-    independent vectors is reduced greedily to n/k vectors independent over the
-    commutant, and the interpolation onto random targets must solve exactly.
-    All families are reduced in one batched greedy pass.  Each trial is
-    interpolated by the closed-form D-linear map Y_D X_D^-1 projected onto the
-    algebra, all trials in one batch; a trial whose residual misses the
-    threshold is solved again by least squares with ``strict_interpolate``,
-    whose residual decides it.  A failure is raised for the first failing
-    trial, and a family short of n/k picks fails only after the trials before it.
-    For k > 1 an infeasible witness pair is produced as well.
+    Verification: for ``trials`` seeded random instances, n/k vectors independent
+    over the commutant must interpolate onto random targets exactly.  Each trial
+    is first interpolated by the closed-form D-linear map Y_D X_D^-1 projected onto
+    the algebra, on the first n/k vectors of its family of k*n, all trials in one
+    batch.  A pass proves those vectors D-independent: for D-dependent vectors
+    random targets are infeasible.  Only a trial whose residual misses the
+    threshold has its family reduced greedily to n/k D-independent vectors; it
+    fails if the family is short, and is otherwise solved again by least squares
+    with ``strict_interpolate``, whose residual decides it.  A failure is raised
+    for the first failing trial.  For k > 1 an infeasible witness pair is
+    produced as well.
 
     Returns ``(k, witness_or_None)``.
     """
@@ -156,21 +157,19 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     families = draws[:, :k * n_targets]
     targets = draws[:, k * n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
-    picks = d_independent_subfamily(families, units, tol, need=n_targets)
-    short = next((t for t, p in enumerate(picks) if len(p) < n_targets), trials)
-    xs = np.reshape([families[t, p] for t, p in enumerate(picks[:short])], (short, n_targets, n))
-    ys = targets[:short]
-    worst = _closed_form_residuals(algebra, units, xs, ys, tol) if short else ()
-    for x, y, w in zip(xs, ys, worst):
+    worst = _closed_form_residuals(algebra, units, families[:, :n_targets], targets,
+                                   tol) if trials else ()
+    for family, y, w in zip(families, targets, worst):
         try:
             tol.check_interpolation(float(w), float(np.linalg.norm(y, axis=1).max()))
-        except NoSolutionError:  # least squares decides a miss and reports its residual
-            strict_interpolate(algebra, list(zip(x, y)), tol)
-    if short < trials:
-        raise NoSolutionError(
-            "could not extract a commutant-independent subfamily; "
-            "structure units inconsistent with the algebra"
-        )
+        except NoSolutionError:  # least squares on a greedy pick decides a miss
+            picked = d_independent_subfamily(family, units, tol, need=n_targets)
+            if len(picked) < n_targets:
+                raise NoSolutionError(
+                    "could not extract a commutant-independent subfamily; "
+                    "structure units inconsistent with the algebra"
+                ) from None
+            strict_interpolate(algebra, list(zip(family[picked], y)), tol)
 
     witness = None
     if k > 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotAntiInvolutiveError, ShapeMismatchError
-from .numeric import DEFAULT_TOL, Tolerance, as_matrix, orthonormal_rows
+from .numeric import _CONDITIONING_BUDGET, DEFAULT_TOL, Tolerance, as_matrix, orthonormal_rows
 
 __all__ = [
     "Quaternion",
@@ -205,7 +205,9 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
         for u in units:
             x = x - _pure_form(x, u) * u
         nrm = math.sqrt(max(_pure_form(x, x), 0.0))
-        if tol.is_zero(nrm, scale):
+        # a basis element near the identity leaves a traceless part of rounding noise,
+        # amplified by a similarity of condition up to the conditioning budget
+        if tol.is_zero(nrm, scale * _CONDITIONING_BUDGET):
             continue
         units.append(x / nrm)
         if len(units) == dim - 1:

@@ -334,50 +334,27 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
 
     ``units`` are the anti-involutive structure units ([] for the real type);
     the span grown is the module span {x, U x, ...} of the picked vectors, and
-    picking stops after ``need`` vectors.  Returns the list of picked indices.
-
-    ``vectors`` may carry one leading batch axis, shape ``(families, m, n)``:
-    every family is reduced in one pass over the candidate index, and one
-    list of picked indices is returned per family.  Each family's span is a
-    fixed array with one block of rows per candidate; rows of candidates not
-    picked stay zero and project nothing.
+    picking stops after ``need`` vectors.  Each picked vector's normalized orbit
+    block is projected off the span twice and only the residual is
+    orthonormalized.  Returns the list of picked indices.
     """
-    fams = np.array(vectors, dtype=float)
-    batched = fams.ndim == 3
-    if not batched:
-        fams = fams.reshape(1, len(fams), -1 if fams.size else 0)
-    families, m, n = fams.shape
-    if m and not n:
-        raise ShapeMismatchError("expected a nonempty vector")
-    if not np.all(np.isfinite(fams)):
-        raise NonFiniteError("vector contains NaN or Inf entries")
-    goal = m if need is None else need
-    width = min(1 + len(units), n)
-    span = np.zeros((families, m * width, n))
-    picked = [[] for _ in range(families)]
-    count = np.zeros(families, dtype=int)
-    for idx in range(m):
-        open_ = count < goal
-        if not open_.any():
+    vecs = [as_vector(x) for x in vectors]
+    picked, span = [], np.zeros((0, len(vecs[0]) if vecs else 0))
+    for idx, x in enumerate(vecs):
+        if len(picked) == need:
             break
-        x = fams[:, idx]
-        nrm = np.linalg.norm(x, axis=1)
-        proj = (np.swapaxes(span, 1, 2) @ (span @ x[..., None]))[..., 0]
-        resid = np.linalg.norm(x - proj, axis=1)
-        take = open_ & (nrm > tol.abs_eps) & ~tol.residual_ok(resid, nrm)
-        for f in np.flatnonzero(take):
-            picked[f].append(idx)
-        count += take
-        grow = np.flatnonzero(take & (count < goal))
-        if not grow.size or idx == m - 1:
-            continue  # nothing reads the span past the last pick
-        block = np.stack([x[grow]] + [x[grow] @ np.asarray(u).T for u in units], axis=1)
-        block /= np.linalg.norm(block, axis=2, keepdims=True)
-        rows = span[grow]
+        nrm = float(np.linalg.norm(x))
+        if nrm <= tol.abs_eps or tol.residual_ok(np.linalg.norm(x - span.T @ (span @ x)), nrm):
+            continue
+        picked.append(idx)
+        if len(picked) == need or idx == len(vecs) - 1:
+            break  # nothing reads the span past the last pick
+        block = np.stack([x] + [u @ x for u in units])
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
         for _ in range(2):  # one pass leaves rounding along the span when the block is near it
-            block -= (block @ np.swapaxes(rows, 1, 2)) @ rows
-        span[grow, idx * width:(idx + 1) * width] = orthonormal_rows(block, tol)
-    return picked if batched else picked[0]
+            block -= (block @ span.T) @ span
+        span = np.vstack([span, orthonormal_rows(block, tol)])
+    return picked
 
 
 def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -60,12 +60,9 @@ class Tolerance:
         """Absolute cutoff for quantities whose natural scale is ``scale``."""
         return max(self.abs_eps, self.rel_eps * float(scale))
 
-    def rank(self, s, budget: float = 1.0):
-        """Count of the descending singular values ``s`` above ``cutoff(s[0] * budget)``;
-        one count per row when ``s`` has a leading batch axis."""
-        s_max = s[..., :1] * budget
-        count = (s > np.maximum(self.abs_eps, self.rel_eps * s_max)).sum(axis=-1)
-        return int(count) if s.ndim == 1 else count
+    def rank(self, s, budget: float = 1.0) -> int:
+        """Count of the descending singular values ``s`` above ``cutoff(s[0] * budget)``."""
+        return int(np.count_nonzero(s > self.cutoff(float(s[0]) * budget))) if len(s) else 0
 
     def is_zero(self, value, scale: float) -> bool:
         """``value <= cutoff(scale)``: a norm of size ``scale`` with no error to budget."""
@@ -110,20 +107,13 @@ def svd(a, full_matrices: bool = True, compute_uv: bool = True):
     numpy uses the divide-and-conquer routine ``gesdd``, which on rare inputs
     stops with "SVD did not converge" although the QR-iteration routine
     ``gesvd`` converges on the same matrix.  Only those inputs take the
-    retry, so every other result keeps its bits.  Leading batch axes are
-    allowed, as in numpy.
+    retry, so every other result keeps its bits.  ``a`` is one 2-d matrix.
     """
     try:
         return np.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        arr = np.asarray(a, dtype=float)
-        if arr.ndim > 2:
-            parts = [svd(m, full_matrices, compute_uv) for m in arr]
-            if not compute_uv:
-                return np.stack(parts)
-            return tuple(np.stack(p) for p in zip(*parts))
         import scipy.linalg
-        return scipy.linalg.svd(arr, full_matrices=full_matrices, compute_uv=compute_uv,
+        return scipy.linalg.svd(a, full_matrices=full_matrices, compute_uv=compute_uv,
                                 lapack_driver="gesvd")
 
 
@@ -191,17 +181,9 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
 
 
 def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of ``m``.
-
-    ``m`` may carry one leading batch axis, shape ``(batch, rows, cols)``:
-    each slice is cut with its own cutoff, and the result has shape
-    ``(batch, min(rows, cols), cols)``, rows past a slice's rank zero.
-    """
+    """Orthonormal basis (rows) of the row space of the 2-d array ``m``."""
     a = np.asarray(m, dtype=float)
     if a.size == 0:
-        return np.zeros(a.shape[:-2] + (0, a.shape[-1] if a.ndim >= 2 else 0))
+        return np.zeros((0, a.shape[-1]))
     _, s, vt = svd(a)
-    if a.ndim == 2:
-        return vt[:tol.rank(s)].copy()
-    keep = np.arange(s.shape[-1]) < tol.rank(s)[:, None]
-    return np.where(keep[..., None], vt[:, :s.shape[-1]], 0.0)
+    return vt[:tol.rank(s)].copy()

@@ -337,7 +337,6 @@ def test_d_independent_subfamily_need_zero_picks_nothing():
     vectors = np.random.default_rng(0).standard_normal((4, 4))
     assert d_independent_subfamily(vectors, []) == [0, 1, 2, 3]
     assert d_independent_subfamily(vectors, [], need=0) == []
-    assert d_independent_subfamily(np.stack([vectors, vectors]), [], need=0) == [[], []]
 
 
 def test_d_independent_subfamily_rejects_bad_vectors():
@@ -377,8 +376,8 @@ def structure_units(kind, blocks):
 
 @st.composite
 def planted_families(draw):
-    """A stack of candidate families for conjugated R, C or H units, each slot a random,
-    a zero or a planted dependent vector (a combination of the module span so far)."""
+    """Candidate families for conjugated R, C or H units, each slot a random, a zero
+    or a planted dependent vector (a combination of the module span so far)."""
     kind = draw(st.sampled_from(["Real", "Complex", "Quaternion"]))
     d = {"Real": 1, "Complex": 2, "Quaternion": 4}[kind]
     n = d * draw(st.integers(1, 6 // d if d < 4 else 2))
@@ -405,11 +404,10 @@ def planted_families(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(planted_families())
-def test_batched_d_independent_subfamily_matches_per_family_greedy(case):
+def test_d_independent_subfamily_matches_greedy_oracle(case):
     fams, units, need = case
-    picks = d_independent_subfamily(fams, units, need=need)
-    assert picks == [greedy_oracle(fam, units, need) for fam in fams]
-    assert d_independent_subfamily(fams[0], units, need=need) == picks[0]
+    for fam in fams:
+        assert d_independent_subfamily(fam, units, need=need) == greedy_oracle(fam, units, need)
 
 
 # --- min_rank ------------------------------------------------------------------
