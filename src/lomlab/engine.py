@@ -7,6 +7,12 @@ closure, commutants, transitivity certificates, minimal rank, strict
 interpolation over the commutant division algebra, real spectral (Riesz)
 projections, and idempotent lifting modulo a nilpotent ideal.
 
+An algebra's commutant is solved on vectors, as the MeatAxe does (Holt and
+Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
+kernel system has n k columns, k = 1 on most transitive algebras.  Only
+``commutant_of_matrices``, for a few given matrices, stacks n^2 x n^2
+Kronecker blocks.
+
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
 ``scipy.linalg`` is imported only by ``riesz_projection``, which alone calls it.
@@ -36,6 +42,7 @@ from .errors import (
 from .numeric import (
     _CONDITIONING_BUDGET,
     _CONJUGATE_MATCH,
+    _CYCLIC_FLOOR,
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
@@ -205,35 +212,47 @@ def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the commutant of the algebra, as a (k, n, n) array.
+    """Orthonormal basis (trace form) of the commutant of the algebra, as a (k, n, n) array.
 
-    The commutant of the span equals the commutant of any generating subset,
-    so for large bases a few pseudo-random combinations are used first and
-    every candidate is verified against the full basis; offending basis
-    elements are appended (at most len(basis)) and the computation repeats
-    until clean.  A repeated offender raises NoConvergenceError.
+    Solved in R^(n k), not R^(n^2).  The words are w_0 = I and the basis, scaled to
+    unit norm (A + R I has A's commutant).  Seeded vectors x_1..x_k are spun until
+    Phi = [w_i x_j] has s_n >= _CYCLIC_FLOOR * s_1, at most n of them; on a
+    transitive algebra every x is cyclic, so k = 1 unless Phi is ill-conditioned.
+    As the span is closed under products, X commutes with it exactly when
+    X w_i x_j = w_i X x_j, that is X = Psi Phi^+ with Psi = [w_i v_j], v_j = X x_j,
+    where (v_1..v_k) runs over the kernel of Psi (I - Phi^+ Phi).  Every candidate
+    is checked against every basis element; a miss raises NoConvergenceError.
     """
     n = algebra.ambient_dim
-    # fixed views: an offender is matched by identity; {0} commutes with all of M_n
-    basis = list(algebra.basis) or [np.zeros((n, n))]
-    if len(basis) <= 6:
-        gens = list(basis)
-    else:
-        rng = np.random.default_rng(12345)
-        gens = [np.tensordot(rng.standard_normal(len(basis)), algebra.basis, axes=1)
-                for _ in range(4)]
-
-    for _ in range(len(basis) + 1):
-        candidates = commutant_of_matrices(gens, tol)
-        offender = next((b for x in candidates for b in basis if not tol.relation_ok(
-            np.linalg.norm(x @ b - b @ x),
-            max(1.0, float(np.linalg.norm(b))) * _CONDITIONING_BUDGET, n)), None)
-        if offender is None:
-            return candidates
-        if any(offender is g for g in gens):
+    norms = np.linalg.norm(algebra.basis, axis=(1, 2))
+    live = norms > tol.abs_eps  # a zero element adds no relation
+    words = np.concatenate([np.eye(n)[None] / math.sqrt(n),
+                            algebra.basis[live] / norms[live, None, None]])
+    m = len(words)
+    draws = np.random.default_rng(12345).standard_normal((n, n))  # x_j = draws[j]
+    for k in range(1, n + 1):
+        u, s, vt = svd((words @ draws[:k].T).transpose(1, 0, 2).reshape(n, m * k),
+                       full_matrices=False)
+        if len(s) == n and s[-1] >= s[0] * _CYCLIC_FLOOR:
             break
-        gens.append(offender)
-    raise NoConvergenceError("commutant candidates fail to commute with a generator")
+    # g[a, b, r, l] = sum_i w_i[a, b] vt[r, i, l], so (Psi V_r)[a, r] = g[a, :, r, :] . v
+    g = (words.reshape(m, n * n).T
+         @ vt.reshape(n, m, k).transpose(1, 0, 2).reshape(m, n * k)).reshape(n, n, n, k)
+    # the relations Psi (I - V_r V_r^T) = 0, rows (a, i, j), columns (b, l) of v
+    system = np.einsum("iab,jl->aijbl", words, np.eye(k)).reshape(n, m * k, n * k) \
+        - (g.transpose(0, 1, 3, 2).reshape(n, n * k, n) @ vt).transpose(0, 2, 1)
+    r = np.linalg.qr(system.reshape(n * m * k, n * k), mode="r")
+    kernel = nullspace_of(r, tol, _CONDITIONING_BUDGET)
+    psi_vr = (g.transpose(0, 2, 1, 3).reshape(n * n, n * k) @ kernel).reshape(n, n, -1)
+    cands = (psi_vr / s[:, None]).transpose(2, 0, 1) @ u.T  # Psi V_r S^-1 U^T
+    comm = orthonormal_rows(cands.reshape(-1, n * n), tol).reshape(-1, n, n)
+    basis = algebra.basis
+    worst = np.linalg.norm(comm[:, None] @ basis[None] - basis[None] @ comm[:, None],
+                           axis=(2, 3)).max(axis=0, initial=0.0)
+    if all(tol.relation_ok(res, max(1.0, nrm) * _CONDITIONING_BUDGET, n)
+           for res, nrm in zip(worst.tolist(), norms.tolist())):
+        return comm
+    raise NoConvergenceError("commutant candidates fail to commute with a basis element")
 
 
 def _eigenspaces(comm: np.ndarray, n: int, tol: Tolerance, seed: int):

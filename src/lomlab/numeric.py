@@ -32,6 +32,10 @@ __all__ = [
 # to ~kappa^2 * machine-eps; budgeting for kappa up to 1e3 keeps genuine
 # commutant directions (noise floor ~1e-7) far below non-commuting ones.
 _CONDITIONING_BUDGET = 1e3
+# engine.commutant adds spin vectors while s_n < _CYCLIC_FLOOR * s_1 for their word
+# matrix [w_i x_j]: X = Psi Phi^+ then amplifies the kernel's rounding at most
+# sqrt(budget)-fold, so the two solves together stay within the budget.
+_CYCLIC_FLOOR = _CONDITIONING_BUDGET ** -0.5
 # A quaternion twist is singular when s_min <= _TWIST_RCOND * max(1, s_max).
 _TWIST_RCOND = 1e-12
 # A cluster point's conjugate is present within _CONJUGATE_MATCH * max(1, |c|).
@@ -185,5 +189,5 @@ def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.size == 0:
         return np.zeros((0, a.shape[-1]))
-    _, s, vt = svd(a)
+    _, s, vt = svd(a, full_matrices=False)
     return vt[:tol.rank(s)].copy()

@@ -5,7 +5,8 @@ import pytest
 
 from lomlab.cli import corpus_paths, load_instance, matrix_from_json
 from lomlab.division import Quaternion, embed_complex, embed_quaternion
-from lomlab.engine import generate_algebra
+from lomlab.engine import MatrixAlgebra, generate_algebra
+from lomlab.numeric import orthonormal_rows
 
 
 def random_similarity(rng, n, cond):
@@ -50,6 +51,32 @@ def planted_algebra(rng, kind, max_ambient=16, cond=None):
         pinv = np.linalg.inv(p)
         gens = [p @ g @ pinv for g in gens]
     return generate_algebra(gens, include_identity=True)
+
+
+def conjugated_reducible_algebra(kind, n, split, p):
+    """The algebra p X p^-1 over X in: block upper-triangular matrices with diagonal
+    blocks of sizes split and n - split ("triangular"), M_split + M_(n - split)
+    ("diagonal"), or M_(n/2) (x) I_2 ("tensor").  Returns the conjugated matrix
+    units that span it, and the algebra with an orthonormal basis, as
+    generate_algebra returns it."""
+    if kind == "tensor":
+        m = n // 2
+        units = [np.kron(np.outer(np.eye(m)[i], np.eye(m)[j]), np.eye(2))
+                 for i in range(m) for j in range(m)]
+    else:
+        units = [np.outer(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(n)
+                 if (i < split or j >= split)
+                 and (kind == "triangular" or (i < split) == (j < split))]
+    return conjugated_span(units, p)
+
+
+def conjugated_span(units, p):
+    """The matrices p u p^-1 over ``units``, and the algebra they span with an
+    orthonormal basis, as generate_algebra returns it but with no closure rounds."""
+    n = len(p)
+    mats = [p @ u @ np.linalg.inv(p) for u in units]
+    basis = orthonormal_rows(np.stack([m.reshape(-1) for m in mats]))
+    return mats, MatrixAlgebra(n, tuple(basis.reshape(-1, n, n)), unital=True)
 
 
 def load_corpus():

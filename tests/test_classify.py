@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_algebra, random_quaternion, random_similarity
+from conftest import (
+    conjugated_reducible_algebra,
+    conjugated_span,
+    planted_algebra,
+    random_quaternion,
+    random_similarity,
+)
 from lomlab.classify import classify, classify_type, density_degree, envelope
 from lomlab.cli import run_instance
 from lomlab.division import (
@@ -19,7 +25,6 @@ from lomlab.division import (
     left_mult_matrix,
 )
 from lomlab.engine import (
-    MatrixAlgebra,
     commutant,
     d_independent_subfamily,
     generate_algebra,
@@ -28,7 +33,7 @@ from lomlab.engine import (
     strict_interpolate,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from lomlab.numeric import orthonormal_rows, solve_least_squares
+from lomlab.numeric import solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
@@ -75,32 +80,6 @@ def test_classify_type_similarity_invariant():
         conj = planted_algebra(rng, kind, max_ambient=8, cond=1e3)
         assert classify_type(alg).label == kind
         assert classify_type(conj).label == kind
-
-
-def conjugated_reducible_algebra(kind, n, split, p):
-    """The algebra p X p^-1 over X in: block upper-triangular matrices with diagonal
-    blocks of sizes split and n - split ("triangular"), M_split + M_(n - split)
-    ("diagonal"), or M_(n/2) (x) I_2 ("tensor").  Returns the conjugated matrix
-    units that span it, and the algebra with an orthonormal basis, as
-    generate_algebra returns it."""
-    if kind == "tensor":
-        m = n // 2
-        units = [np.kron(np.outer(np.eye(m)[i], np.eye(m)[j]), np.eye(2))
-                 for i in range(m) for j in range(m)]
-    else:
-        units = [np.outer(np.eye(n)[i], np.eye(n)[j]) for i in range(n) for j in range(n)
-                 if (i < split or j >= split)
-                 and (kind == "triangular" or (i < split) == (j < split))]
-    return conjugated_span(units, p)
-
-
-def conjugated_span(units, p):
-    """The matrices p u p^-1 over ``units``, and the algebra they span with an
-    orthonormal basis, as generate_algebra returns it but with no closure rounds."""
-    n = len(p)
-    mats = [p @ u @ np.linalg.inv(p) for u in units]
-    basis = orthonormal_rows(np.stack([m.reshape(-1) for m in mats]))
-    return mats, MatrixAlgebra(n, tuple(basis.reshape(-1, n, n)), unital=True)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_algebra, random_quaternion, random_similarity
-from lomlab import engine
+from conftest import (
+    conjugated_reducible_algebra,
+    planted_algebra,
+    random_quaternion,
+    random_similarity,
+)
+from lomlab import engine, numeric
 from lomlab.division import (
     Quaternion,
     embed_complex,
@@ -206,22 +211,30 @@ def test_commutant_quaternion_left_regular():
 
 
 def test_commutant_verified_on_large_basis():
-    # span big enough to trigger the sampled-generator path
+    # every candidate is checked against all of this basis, not a sample of it
     rng = np.random.default_rng(4)
     alg = planted_algebra(rng, "Real", max_ambient=6)
     comm = commutant(alg)
     assert len(comm) == 1
 
 
-def test_commutant_offender_loop_reaches_the_full_commutant():
-    # I, E_12, ..., E_18 span an algebra of dimension 8 > 6, so the sampled path
-    # runs; four random combinations do not pin its commutant, and offenders are
-    # appended (4, 5, 6, then 7 generators) until every candidate commutes
+def test_commutant_spins_n_vectors_for_a_non_cyclic_algebra(monkeypatch):
+    # I, E_12, ..., E_18 map x to span{x, e_1}, so no vector is cyclic: the words
+    # reach rank 8 only on x_1..x_7 and e_1, where s_8 / s_1 = 0.009 is below the
+    # 1 / sqrt(1e3) floor, so the spin stops at its bound of n = 8 vectors
     n = 8
     eye = np.eye(n)
     alg = MatrixAlgebra(n, (eye, *(np.outer(eye[0], eye[j]) for j in range(1, n))),
                         unital=True)
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return numeric.svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "svd", recorded)
     comm = commutant(alg)
+    assert shapes == [(n, (n + 1) * k) for k in range(1, n + 1)]
     rows = [np.kron(np.eye(n), b.T) - np.kron(b, np.eye(n)) for b in alg.basis]
     assert len(comm) == n * n - rank_of(np.vstack(rows)) == 8
     for x in comm:
@@ -230,23 +243,83 @@ def test_commutant_offender_loop_reaches_the_full_commutant():
 
 
 def test_commutant_raises_when_a_candidate_never_commutes(monkeypatch):
-    # A candidate that fails the check against the basis every time must end in
-    # NoConvergenceError, on the small-basis path (n = 2) and the sampled one (n = 3).
-    calls = []
+    # A kernel that returns the system's least-null direction gives a candidate
+    # that fails the check against the basis, which must end in NoConvergenceError.
+    def worst_direction(m, tol=None, budget=1.0):
+        return np.linalg.svd(m)[2][:1].T
 
-    def never_commutes(mats, tol=None):
-        calls.append(len(mats))
-        return [np.triu(np.ones_like(mats[0]), 1)]
-
-    monkeypatch.setattr(engine, "commutant_of_matrices", never_commutes)
+    monkeypatch.setattr(engine, "nullspace_of", worst_direction)
     for n in (2, 3):
-        calls.clear()
         with pytest.raises(NoConvergenceError):
             commutant(generate_algebra(matrix_units(n), include_identity=True))
-        if n == 2:
-            # the offender is one of the four generators, found by identity, so the
-            # small-basis path stops after its first commutant computation
-            assert calls == [4]
+
+
+def test_commutant_builds_no_kronecker_stack(monkeypatch):
+    # On a transitive M_n(D) every matrix the commutant factors has a side of at
+    # most n: the spin system is solved in R^n, never in R^(n^2)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("commutant_of_matrices called")
+
+    shapes = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "commutant_of_matrices", forbidden)
+    monkeypatch.setattr(numeric, "svd", recording(numeric.svd))
+    monkeypatch.setattr(engine, "svd", recording(engine.svd))
+    monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    rng = np.random.default_rng(7)
+    for kind, dim in (("Real", 1), ("Complex", 2), ("Quaternion", 4)):
+        alg = planted_algebra(rng, kind, max_ambient=8, cond=1e2)
+        n = alg.ambient_dim
+        shapes.clear()
+        assert len(commutant(alg)) == dim
+        assert shapes and all(min(shape) <= n for shape in shapes), (kind, n, shapes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["Real", "Complex", "Quaternion", "triangular", "diagonal",
+                             "tensor", "zero"]),
+       n=st.integers(2, 8), split=st.integers(1, 7), log_kappa=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**16))
+def test_commutant_matches_the_kronecker_oracle(kind, n, split, log_kappa, seed):
+    # dimension and span agree with the kernel of the stacked commutators of
+    # every basis element, on conjugated irreducible, reducible and zero algebras
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** log_kappa
+    if kind in ("Real", "Complex", "Quaternion"):
+        alg = planted_algebra(rng, kind, max_ambient=8, cond=kappa)
+    elif kind == "zero":
+        alg = MatrixAlgebra(n, np.zeros((split % 2, n, n)), unital=False)
+    else:
+        n = 2 * (n // 2) if kind == "tensor" else n
+        split = 1 + (split - 1) % (n - 1)
+        _, alg = conjugated_reducible_algebra(kind, n, split,
+                                              random_similarity(rng, n, kappa))
+    n = alg.ambient_dim
+    oracle = commutant_of_matrices(alg.basis if alg.dim else np.zeros((1, n, n)))
+    comm = commutant(alg)
+    assert comm.shape == oracle.shape
+    q_comm = np.linalg.qr(comm.reshape(len(comm), -1).T)[0]
+    q_oracle = np.linalg.qr(oracle.reshape(len(oracle), -1).T)[0]
+    assert np.linalg.norm(q_comm - q_oracle @ (q_oracle.T @ q_comm), 2) < 1e-6
+
+
+@pytest.mark.parametrize("kind, n, seed, kappa, dim", [
+    ("diagonal", 2, 18, 100.0, 2),
+    ("tensor", 4, 30, 1e3, 4),
+])
+def test_commutant_spins_past_an_ill_conditioned_word_matrix(kind, n, seed, kappa, dim):
+    # one vector's word matrix is rank n here but s_n / s_1 is small; solving on it
+    # loses commutant directions (dim 1 and 2), and a second vector restores them
+    _, alg = conjugated_reducible_algebra(kind, n, 1,
+                                          random_similarity(np.random.default_rng(seed),
+                                                            n, kappa))
+    assert len(commutant(alg)) == dim
 
 
 # --- transitivity ------------------------------------------------------------
