@@ -179,10 +179,10 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
 
 def _envelope_vecs(structure: DivisionStructure, n: int, tol: Tolerance) -> np.ndarray:
     """Orthonormal rows, as vectorized n x n matrices, spanning the envelope.
-    Only I (and J) are imposed: they generate D, so K = IJ adds no constraint."""
+    All units are passed: with I they span D, closed under products, as the spin needs."""
     if structure.type is AlgebraType.REAL:
         return np.eye(n * n)
-    return commutant_of_matrices(structure.units[:2], tol).reshape(-1, n * n)
+    return commutant_of_matrices(structure.units, tol).reshape(-1, n * n)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,

@@ -345,5 +345,5 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def rep_commutant_algebra(rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with the representation:
     transitive, quaternion type, dimension n^2/4."""
-    # Commuting with pi(i) and pi(j) forces commuting with the whole group.
-    return MatrixAlgebra(rep.n, commutant_of_matrices([rep.pi["i"], rep.pi["j"]], tol), unital=True)
+    # I, pi(i), pi(j) and pi(k) span the image of H, closed under products, as the spin needs.
+    return MatrixAlgebra(rep.n, commutant_of_matrices([rep.pi[g] for g in "ijk"], tol), unital=True)

@@ -9,9 +9,9 @@ projections, and idempotent lifting modulo a nilpotent ideal.
 
 An algebra's commutant is solved on vectors, as the MeatAxe does (Holt and
 Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
-kernel system has n k columns, k = 1 on most transitive algebras.  Only
-``commutant_of_matrices``, for a few given matrices, stacks n^2 x n^2
-Kronecker blocks.
+kernel system has n k columns, k = 1 on most transitive algebras.  Given
+matrices that span an algebra with I, ``commutant_of_matrices`` spins the same
+way; no n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -192,48 +192,30 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
     return MatrixAlgebra(n, span.reshape(-1, n, n), unital=bool(tol.residual_ok(ident_res)))
 
 
-def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal (k, n, n) basis (trace form) of {X : XB = BX for every B in mats}.
+def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal (k, n, n) basis (trace form) of what commutes with the (m, n, n)
+    stack ``basis``, solved in R^(n k), not R^(n^2).
 
-    Computed as the common nullspace of the stacked maps X -> XB - BX.
+    The words are w_0 = I and the basis, scaled to unit norm.  Seeded vectors
+    x_1..x_k are spun until Phi = [w_i x_j] has s_n >= _CYCLIC_FLOOR * s_1, from
+    k = ceil(n / #words), below which Phi cannot reach rank n, to at most n; on a
+    transitive algebra k = 1 unless Phi is ill-conditioned.  When the words span an
+    algebra, X commutes with it exactly when X w_i x_j = w_i X x_j, that is
+    X = Psi Phi^+ with Psi = [w_i v_j], v_j = X x_j, where (v_1..v_k) runs over the
+    kernel of Psi (I - Phi^+ Phi).  Every candidate is checked against every basis
+    element; a miss, as when the words are not closed, raises NoConvergenceError.
     """
-    mats = [as_matrix(m, square=True) for m in mats]
-    if not mats:
-        raise ShapeMismatchError("at least one matrix is required")
-    n = mats[0].shape[0]
-    eye = np.eye(n)
-    blocks = []
-    for b in mats:
-        nrm = float(np.linalg.norm(b))
-        bb = b / nrm if nrm > tol.abs_eps else b
-        # row-major vec: vec(X B) = (I (x) B^T) vec X, vec(B X) = (B (x) I) vec X
-        blocks.append(np.kron(eye, bb.T) - np.kron(bb, eye))
-    return nullspace_of(np.vstack(blocks), tol, _CONDITIONING_BUDGET).T.reshape(-1, n, n)
-
-
-def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (trace form) of the commutant of the algebra, as a (k, n, n) array.
-
-    Solved in R^(n k), not R^(n^2).  The words are w_0 = I and the basis, scaled to
-    unit norm (A + R I has A's commutant).  Seeded vectors x_1..x_k are spun until
-    Phi = [w_i x_j] has s_n >= _CYCLIC_FLOOR * s_1, at most n of them; on a
-    transitive algebra every x is cyclic, so k = 1 unless Phi is ill-conditioned.
-    As the span is closed under products, X commutes with it exactly when
-    X w_i x_j = w_i X x_j, that is X = Psi Phi^+ with Psi = [w_i v_j], v_j = X x_j,
-    where (v_1..v_k) runs over the kernel of Psi (I - Phi^+ Phi).  Every candidate
-    is checked against every basis element; a miss raises NoConvergenceError.
-    """
-    n = algebra.ambient_dim
-    norms = np.linalg.norm(algebra.basis, axis=(1, 2))
+    n = basis.shape[1]
+    norms = np.linalg.norm(basis, axis=(1, 2))
     live = norms > tol.abs_eps  # a zero element adds no relation
     words = np.concatenate([np.eye(n)[None] / math.sqrt(n),
-                            algebra.basis[live] / norms[live, None, None]])
+                            basis[live] / norms[live, None, None]])
     m = len(words)
     draws = np.random.default_rng(12345).standard_normal((n, n))  # x_j = draws[j]
-    for k in range(1, n + 1):
+    for k in range(-(-n // m), n + 1):
         u, s, vt = svd((words @ draws[:k].T).transpose(1, 0, 2).reshape(n, m * k),
                        full_matrices=False)
-        if len(s) == n and s[-1] >= s[0] * _CYCLIC_FLOOR:
+        if s[-1] >= s[0] * _CYCLIC_FLOOR:
             break
     # g[a, b, r, l] = sum_i w_i[a, b] vt[r, i, l], so (Psi V_r)[a, r] = g[a, :, r, :] . v
     g = (words.reshape(m, n * n).T
@@ -246,13 +228,27 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     psi_vr = (g.transpose(0, 2, 1, 3).reshape(n * n, n * k) @ kernel).reshape(n, n, -1)
     cands = (psi_vr / s[:, None]).transpose(2, 0, 1) @ u.T  # Psi V_r S^-1 U^T
     comm = orthonormal_rows(cands.reshape(-1, n * n), tol).reshape(-1, n, n)
-    basis = algebra.basis
     worst = np.linalg.norm(comm[:, None] @ basis[None] - basis[None] @ comm[:, None],
                            axis=(2, 3)).max(axis=0, initial=0.0)
     if all(tol.relation_ok(res, max(1.0, nrm) * _CONDITIONING_BUDGET, n)
            for res, nrm in zip(worst.tolist(), norms.tolist())):
         return comm
     raise NoConvergenceError("commutant candidates fail to commute with a basis element")
+
+
+def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (k, n, n) basis (trace form) of {X : XB = BX for every B in mats},
+    spun as ``commutant`` is with ``mats`` as the basis: exact when I and the matrices
+    span an algebra (as D's units or a group's images do), else NoConvergenceError."""
+    mats = [as_matrix(m, square=True) for m in mats]
+    if not mats:
+        raise ShapeMismatchError("at least one matrix is required")
+    return _spin_commutant(MatrixAlgebra(len(mats[0]), mats, unital=False).basis, tol)
+
+
+def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (k, n, n) basis (trace form) of the algebra's commutant, spun."""
+    return _spin_commutant(algebra.basis, tol)
 
 
 def _eigenspaces(comm: np.ndarray, n: int, tol: Tolerance, seed: int):

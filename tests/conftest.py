@@ -6,7 +6,7 @@ import pytest
 from lomlab.cli import corpus_paths, load_instance, matrix_from_json
 from lomlab.division import Quaternion, embed_complex, embed_quaternion
 from lomlab.engine import MatrixAlgebra, generate_algebra
-from lomlab.numeric import orthonormal_rows
+from lomlab.numeric import _CONDITIONING_BUDGET, DEFAULT_TOL, nullspace_of, orthonormal_rows
 
 
 def random_similarity(rng, n, cond):
@@ -51,6 +51,21 @@ def planted_algebra(rng, kind, max_ambient=16, cond=None):
         pinv = np.linalg.inv(p)
         gens = [p @ g @ pinv for g in gens]
     return generate_algebra(gens, include_identity=True)
+
+
+def kronecker_commutant(mats, tol=DEFAULT_TOL):
+    """Reference commutant, independent of lomlab's spin: an orthonormal (k, n, n) basis
+    of the common kernel of the stacked maps X -> XB - BX, each B scaled to unit norm,
+    as an n^2 x n^2 Kronecker system per matrix."""
+    n = len(mats[0])
+    eye = np.eye(n)
+    blocks = []
+    for b in mats:
+        nrm = float(np.linalg.norm(b))
+        bb = b / nrm if nrm > tol.abs_eps else b
+        # row-major vec: vec(X B) = (I (x) B^T) vec X, vec(B X) = (B (x) I) vec X
+        blocks.append(np.kron(eye, bb.T) - np.kron(bb, eye))
+    return nullspace_of(np.vstack(blocks), tol, _CONDITIONING_BUDGET).T.reshape(-1, n, n)
 
 
 def conjugated_reducible_algebra(kind, n, split, p):

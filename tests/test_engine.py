@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     conjugated_reducible_algebra,
+    kronecker_commutant,
     planted_algebra,
     random_quaternion,
     random_similarity,
 )
 from lomlab import engine, numeric
+from lomlab.construct import GenericPair, build_pcs, build_quaternion_rep, twisted_rep
 from lomlab.division import (
     Quaternion,
     embed_complex,
@@ -301,12 +303,57 @@ def test_commutant_matches_the_kronecker_oracle(kind, n, split, log_kappa, seed)
         _, alg = conjugated_reducible_algebra(kind, n, split,
                                               random_similarity(rng, n, kappa))
     n = alg.ambient_dim
-    oracle = commutant_of_matrices(alg.basis if alg.dim else np.zeros((1, n, n)))
+    oracle = kronecker_commutant(alg.basis if alg.dim else np.zeros((1, n, n)))
     comm = commutant(alg)
     assert comm.shape == oracle.shape
-    q_comm = np.linalg.qr(comm.reshape(len(comm), -1).T)[0]
-    q_oracle = np.linalg.qr(oracle.reshape(len(oracle), -1).T)[0]
-    assert np.linalg.norm(q_comm - q_oracle @ (q_oracle.T @ q_comm), 2) < 1e-6
+    assert span_gap(comm, oracle) < 1e-6
+
+
+def span_gap(a, b):
+    """Spectral norm of the part of span(a) outside span(b), both (k, n, n) stacks."""
+    q_a = np.linalg.qr(a.reshape(len(a), -1).T)[0]
+    q_b = np.linalg.qr(b.reshape(len(b), -1).T)[0]
+    return np.linalg.norm(q_a - q_b @ (q_b.T @ q_a), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["Complex", "Quaternion", "pcs", "rep"]), size=st.integers(1, 4),
+       log_kappa=st.floats(0.0, 3.0), twist=st.booleans(), seed=st.integers(0, 2**16))
+def test_commutant_of_matrices_matches_the_kronecker_oracle(kind, size, log_kappa, twist, seed):
+    # the spin on I and words that span an algebra with it agrees with the kernel of
+    # the stacked commutators: recognized units of conjugated M_n(C/H), conjugated
+    # PCS with a schedule up to 1e3, and quaternion reps with twists up to 1e2
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** log_kappa
+    if kind in ("Complex", "Quaternion"):
+        alg = planted_algebra(rng, kind, max_ambient=8, cond=kappa)
+        # recognized from the oracle: engine.commutant can drop a direction of these
+        structure = frobenius_recognize(kronecker_commutant(alg.basis))
+        mats, d = structure.units, structure.commutant_dim
+    elif kind == "pcs":
+        p = random_similarity(rng, 2 * size, 10.0 ** rng.uniform(0.0, 2.0))
+        mats, d = [p @ build_pcs(size, np.geomspace(1.0, kappa, size)).matrix
+                   @ np.linalg.inv(p)], 2
+    else:
+        m = 1 + size % 2
+        rep = build_quaternion_rep(m, [random_similarity(rng, 4, kappa ** (2 / 3))
+                                       for _ in range(m)])
+        if twist and m == 2:
+            rep = twisted_rep(GenericPair(np.eye(8)[:, :4], np.eye(8)[:, 4:]), rep)
+        mats, d = [rep.pi[g] for g in "ijk"], 4
+    n = len(mats[0])
+    comm = commutant_of_matrices(mats)
+    oracle = kronecker_commutant(mats)
+    assert len(comm) == len(oracle) == n * n // d
+    assert span_gap(comm, oracle) < 1e-6
+
+
+def test_commutant_of_matrices_raises_on_words_not_closed_under_products():
+    # the spin's relations hold only where I and the words span an algebra; here they
+    # do not, and the check of every candidate against g raises, not a wrong basis
+    g = np.random.default_rng(0).standard_normal((4, 4))
+    with pytest.raises(NoConvergenceError):
+        commutant_of_matrices([g])
 
 
 @pytest.mark.parametrize("kind, n, seed, kappa, dim", [

@@ -5,10 +5,11 @@ Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
 from one class; every kernel is cut in one place, ``numeric.nullspace_of``.
 An algebra's commutant is computed in ``engine`` only, by the transitivity
-certificate, and read off its report everywhere else.  Every
-error class is raised somewhere.  The CLI turns a bad instance field into a
-``ParseError`` in one guard, ``cli._malformed``.  ``scipy`` and ``mpmath`` are
-imported only inside the functions that call them, never at module level.
+certificate, and read off its report everywhere else; no module builds a
+Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
+instance field into a ``ParseError`` in one guard, ``cli._malformed``.
+``scipy`` and ``mpmath`` are imported only inside the functions that call them,
+never at module level.
 """
 
 import ast
@@ -107,6 +108,18 @@ def test_commutant_is_computed_only_in_engine():
         for name, tree in modules() if name != "engine.py"
         for function, call in calls(tree)
         if dotted(call.func).split(".")[-1] == "commutant"
+    ]
+    assert not offenders, offenders
+
+
+def test_no_kronecker_stack_is_built():
+    # commutants are spun on vectors in R^n; a kron call would bring back an
+    # n^2 x n^2 system
+    offenders = [
+        f"{name}:{call.lineno} in {function}"
+        for name, tree in modules()
+        for function, call in calls(tree)
+        if dotted(call.func).split(".")[-1] == "kron"
     ]
     assert not offenders, offenders
 
