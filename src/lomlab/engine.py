@@ -149,9 +149,11 @@ class TransitivityReport:
 def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """Smallest algebra containing the generators (and the identity, if asked).
 
-    Breadth-first word expansion: the span is extended by products
-    span * generators with a rank-revealing re-orthonormalization each round
-    until the dimension stabilizes (at most n^2).
+    Semi-naive breadth-first expansion, append-only: each round multiplies only
+    the rows the previous round appended by the generators, and appends what the
+    products add to the span (``orthonormal_rows(..., against=span)``).  No
+    accepted row is factored again.  It stops when a round adds nothing or the
+    span is all of M_n.
     """
     mats = [as_matrix(g, square=True) for g in generators]
     if not mats:
@@ -162,30 +164,18 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
     # Scale-normalize generators; this changes nothing about the generated
     # algebra but keeps long words from overflowing the rank cutoffs.
-    gens = []
-    for m in mats:
-        nrm = float(np.linalg.norm(m))
-        if nrm > tol.abs_eps:
-            gens.append(m / nrm)
-    if not gens:
-        gens = [np.zeros((n, n))]
-
-    seed_words = list(gens)
+    norms = np.array([np.linalg.norm(m) for m in mats])
+    gens = np.stack(mats)[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None, None]
+    words = gens.reshape(-1, n * n)
     if include_identity:
-        seed_words.append(np.eye(n) / math.sqrt(n))
-    span = orthonormal_rows(np.stack([w.reshape(-1) for w in seed_words]), tol)
-
-    while span.shape[0] < n * n:
-        current = span.reshape(-1, n, n)
-        products = np.einsum("aij,bjk->abik", current, np.stack(gens))
-        cand = products.reshape(-1, n * n)
+        words = np.vstack([words, np.eye(n).reshape(1, -1) / math.sqrt(n)])
+    span = new = orthonormal_rows(words, tol)
+    while len(new) and len(span) < n * n:
+        cand = (new.reshape(-1, 1, n, n) @ gens).reshape(-1, n * n)
         norms = np.linalg.norm(cand, axis=1)
         cand = cand[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None]
-        new_span = orthonormal_rows(np.vstack([span, cand]), tol)
-        if new_span.shape[0] == span.shape[0]:
-            span = new_span
-            break
-        span = new_span
+        new = orthonormal_rows(cand, tol, against=span)
+        span = np.vstack([span, new])
 
     eye = np.eye(n).reshape(-1)
     ident_res = np.linalg.norm(eye - (span @ eye) @ span) / math.sqrt(n)
@@ -349,9 +339,9 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
 
     ``units`` are the anti-involutive structure units ([] for the real type);
     the span grown is the module span {x, U x, ...} of the picked vectors, and
-    picking stops after ``need`` vectors.  Each picked vector's normalized orbit
-    block is projected off the span twice and only the residual is
-    orthonormalized.  Returns the list of picked indices.
+    picking stops after ``need`` vectors.  The span grows by what each picked
+    vector's normalized orbit block adds to it (``orthonormal_rows(..., against=span)``).
+    Returns the list of picked indices.
     """
     vecs = [as_vector(x) for x in vectors]
     picked, span = [], np.zeros((0, len(vecs[0]) if vecs else 0))
@@ -366,9 +356,7 @@ def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
             break  # nothing reads the span past the last pick
         block = np.stack([x] + [u @ x for u in units])
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        for _ in range(2):  # one pass leaves rounding along the span when the block is near it
-            block -= (block @ span.T) @ span
-        span = np.vstack([span, orthonormal_rows(block, tol)])
+        span = np.vstack([span, orthonormal_rows(block, tol, against=span)])
     return picked
 
 
@@ -384,7 +372,7 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     t0 = next((b for b in algebra.basis if np.linalg.norm(b) > tol.abs_eps), None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
-    u, s, _ = svd(t0)
+    u, s, vt = svd(t0)
     range_basis = list(u[:, :tol.rank(s)].T)
     picked = d_independent_subfamily(range_basis, units, tol)
     zs = [range_basis[i] for i in picked]
@@ -393,9 +381,7 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
         raise NotTransitiveError(
             "range of the probe element is not a module over the recognized commutant"
         )
-    x1, res = solve_least_squares(t0, zs[0], tol)
-    if not tol.residual_ok(res):
-        raise NotTransitiveError("cannot solve T0 x = z within the range of T0")
+    x1 = vt[picked[0]] / s[picked[0]]  # z_1 = u_i, so T0 x_1 = z_1 exactly
     pairs = [(zs[0], x1)] + [(z, np.zeros(algebra.ambient_dim)) for z in zs[1:]]
     try:
         k = strict_interpolate(algebra, pairs, tol)

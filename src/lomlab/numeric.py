@@ -184,10 +184,21 @@ def solve_least_squares(a, b, tol: Tolerance = DEFAULT_TOL):
     return (x[:, 0] if vector_rhs else x), residual
 
 
-def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of the 2-d array ``m``."""
+def orthonormal_rows(m, tol: Tolerance = DEFAULT_TOL, against=None) -> np.ndarray:
+    """Orthonormal basis (rows) of the row space of the 2-d array ``m``.
+
+    Given ``against``, orthonormal rows, the basis is of what ``m`` adds to their
+    span: ``m`` is projected off it twice, as one pass leaves rounding along it, and
+    the residual is cut at ``cutoff(||[against; m]||_F)``.  The residual's own s_max
+    would be rounding when ``m`` adds nothing, and a cut against it keeps noise.
+    """
     a = np.asarray(m, dtype=float)
     if a.size == 0:
         return np.zeros((0, a.shape[-1]))
+    if against is not None:
+        scale = math.hypot(np.linalg.norm(against), np.linalg.norm(a))
+        for _ in range(2):
+            a = a - (a @ against.T) @ against
     _, s, vt = svd(a, full_matrices=False)
-    return vt[:tol.rank(s)].copy()
+    keep = tol.rank(s) if against is None else int(np.count_nonzero(s > tol.cutoff(scale)))
+    return vt[:keep].copy()

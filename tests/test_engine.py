@@ -11,6 +11,7 @@ from conftest import (
     random_similarity,
 )
 from lomlab import engine, numeric
+from lomlab.classify import AlgebraType, classify_type
 from lomlab.construct import GenericPair, build_pcs, build_quaternion_rep, twisted_rep
 from lomlab.division import (
     Quaternion,
@@ -176,6 +177,47 @@ def test_closure_idempotent():
     assert again.dim == alg.dim
     assert span_equal(alg.basis, again.basis)
     alg.validate()
+
+
+def test_closure_of_one_gaussian_is_its_polynomials():
+    # a closure that re-multiplies its whole rounded span let noise cross the cut
+    # each round, and returned all of M_24(R) here
+    g = np.random.default_rng(2).standard_normal((24, 24))
+    assert generate_algebra([g], include_identity=True).dim == 24
+
+
+def test_closure_of_a_conjugated_complex_algebra_keeps_its_type():
+    rng = np.random.default_rng(90)
+    gens = [embed_complex(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+            for _ in range(2)]
+    p = random_similarity(rng, 16, 900.0)
+    pinv = np.linalg.inv(p)
+    alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
+    assert alg.dim == 128
+    assert classify_type(alg) is AlgebraType.COMPLEX
+
+
+def test_closure_factors_only_the_rows_the_last_round_added(monkeypatch):
+    svd_rows, added = [], []
+    real_svd, real_rows = numeric.svd, engine.orthonormal_rows
+
+    def spied_svd(a, *args, **kwargs):
+        svd_rows.append(len(a))
+        return real_svd(a, *args, **kwargs)
+
+    def spied_rows(*args, **kwargs):
+        out = real_rows(*args, **kwargs)
+        added.append(len(out))
+        return out
+
+    monkeypatch.setattr(numeric, "svd", spied_svd)
+    monkeypatch.setattr(engine, "orthonormal_rows", spied_rows)
+    rng = np.random.default_rng(4)
+    gens = [rng.standard_normal((12, 12)) for _ in range(2)]
+    assert generate_algebra(gens, include_identity=True).dim == 144 == sum(added)
+    assert len(svd_rows) == len(added)  # one SVD a round, none of the whole span
+    # after the seed, each SVD sees only the products of the previous round's rows
+    assert all(rows <= len(gens) * prev for rows, prev in zip(svd_rows[1:], added))
 
 
 # --- commutant ---------------------------------------------------------------

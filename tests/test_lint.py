@@ -3,7 +3,8 @@
 Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
-from one class; every kernel is cut in one place, ``numeric.nullspace_of``.
+from one class; every kernel is cut in one place, ``numeric.nullspace_of``, and
+every span is complemented in one place, ``numeric.orthonormal_rows``.
 An algebra's commutant is computed in ``engine`` only, by the transitivity
 certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
@@ -86,6 +87,21 @@ def test_kernel_is_cut_only_in_nullspace_of():
         if isinstance(node, ast.Slice) and isinstance(node.lower, ast.Call)
         and isinstance(node.lower.func, ast.Attribute) and node.lower.func.attr == "rank"
         and (name, function) != ("numeric.py", "nullspace_of")
+    ]
+    assert not offenders, offenders
+
+
+def test_span_is_complemented_only_in_orthonormal_rows():
+    # a `for _ in range(2)` loop is the two-pass projection off a span; the closure
+    # and the greedy pick take it from orthonormal_rows(m, tol, against=span)
+    offenders = [
+        f"{name}:{node.lineno} in {function}"
+        for name, tree in modules()
+        for function, node in nodes(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+        and dotted(node.iter.func) == "range"
+        and [getattr(arg, "value", None) for arg in node.iter.args] == [2]
+        and (name, function) != ("numeric.py", "orthonormal_rows")
     ]
     assert not offenders, offenders
 

@@ -172,6 +172,49 @@ def test_orthonormal_rows_cuts_each_matrix_at_its_own_rank():
     assert orthonormal_rows(a[2]).shape == (0, 6)
 
 
+@st.composite
+def complement_cases(draw):
+    """Orthonormal S, and M = A S + B E + rounding-level noise for an orthonormal E
+    orthogonal to S, with B of known rank; M's rows are of size ``scale``."""
+    cols = draw(st.integers(2, 12))
+    k = draw(st.integers(1, cols - 1))
+    j = draw(st.integers(1, cols - k))
+    rows = draw(st.integers(1, 8))
+    rank_b = draw(st.integers(0, min(rows, j)))
+    scale = 10.0 ** draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((cols, k + j)))[0].T
+    s, e = q[:k], q[k:]
+    left = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :rank_b]
+    right = np.linalg.qr(rng.standard_normal((j, j)))[0][:rank_b]
+    b = left @ np.diag(rng.uniform(0.1, 1.0, rank_b)) @ right
+    m = scale * (rng.standard_normal((rows, k)) @ s + b @ e
+                 + 1e-16 * rng.standard_normal((rows, cols)))
+    return s, m, rank_b
+
+
+@given(complement_cases())
+@settings(max_examples=100, deadline=None)
+def test_orthonormal_rows_against_a_span_keeps_only_what_m_adds(case):
+    s, m, rank_b = case
+    q = orthonormal_rows(m, against=s)
+    assert q.shape == (rank_b, m.shape[1])
+    assert np.allclose(q @ q.T, np.eye(rank_b), atol=1e-12)
+    assert np.max(np.abs(q @ s.T), initial=0.0) <= 1e-12
+
+
+def test_rows_in_the_span_up_to_rounding_add_nothing():
+    # a cut relative to the residual's own s_max keeps its rounding as directions
+    rng = np.random.default_rng(1)
+    s = np.linalg.qr(rng.standard_normal((6, 3)))[0].T
+    m = 1e6 * (rng.standard_normal((4, 3)) @ s)
+    assert orthonormal_rows(m, against=s).shape == (0, 6)
+    residual = m
+    for _ in range(2):
+        residual = residual - (residual @ s.T) @ s
+    assert len(orthonormal_rows(residual)) > 0
+
+
 def flaky_svd(monkeypatch, failures):
     """Make ``np.linalg.svd`` raise LinAlgError on its first ``failures`` calls."""
     real_svd = np.linalg.svd
