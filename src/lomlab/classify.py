@@ -158,18 +158,17 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     targets = draws[:, k * n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
     worst = _closed_form_residuals(algebra, units, families[:, :n_targets], targets,
-                                   tol) if trials else ()
-    for family, y, w in zip(families, targets, worst):
-        try:
-            tol.check_interpolation(float(w), float(np.linalg.norm(y, axis=1).max()))
-        except NoSolutionError:  # least squares on a greedy pick decides a miss
-            picked = d_independent_subfamily(family, units, tol, need=n_targets)
-            if len(picked) < n_targets:
-                raise NoSolutionError(
-                    "could not extract a commutant-independent subfamily; "
-                    "structure units inconsistent with the algebra"
-                ) from None
-            strict_interpolate(algebra, list(zip(family[picked], y)), tol)
+                                   tol) if trials else np.zeros(0)
+    hits = tol.interpolation_ok(worst, np.linalg.norm(targets, axis=2).max(axis=1))
+    for trial in np.flatnonzero(~hits):  # least squares on a greedy pick decides a miss
+        family, y = families[trial], targets[trial]
+        picked = d_independent_subfamily(family, units, tol, need=n_targets)
+        if len(picked) < n_targets:
+            raise NoSolutionError(
+                "could not extract a commutant-independent subfamily; "
+                "structure units inconsistent with the algebra"
+            )
+        strict_interpolate(algebra, list(zip(family[picked], y)), tol)
 
     witness = None
     if k > 1:

@@ -27,7 +27,7 @@ from .errors import (
     SingularTwistError,
 )
 from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector,
-                      orthonormal_rows, rank_of, solve_least_squares, svd)
+                      frobenius_norms, orthonormal_rows, rank_of, solve_least_squares, svd)
 
 __all__ = [
     "GROUP_ELEMENTS",
@@ -75,6 +75,12 @@ def group_mult(a: str, b: str) -> str:
 
 def group_inverse(a: str) -> str:
     return _LABELS[GROUP_UNITS[a].conjugate()]
+
+
+# _CAYLEY[a, b] is the index of g_a g_b in GROUP_ELEMENTS, so a stack of the eight
+# operators in that order indexed by it is the stack of the products' images.
+_CAYLEY = np.array([[GROUP_ELEMENTS.index(group_mult(a, b)) for b in GROUP_ELEMENTS]
+                    for a in GROUP_ELEMENTS])
 
 
 # The automorphism q -> j q j^{-1}: fixes +-1 and +-j, negates +-i and +-k.
@@ -133,14 +139,14 @@ class GroupRep:
             raise ShapeMismatchError("representation matrices must be n x n")
         object.__setattr__(self, "pi", mats)
 
+    def stack(self) -> np.ndarray:
+        """The eight operators as one (8, n, n) array, in GROUP_ELEMENTS order."""
+        return np.stack([self.pi[g] for g in GROUP_ELEMENTS])
+
     def homomorphism_residual(self) -> float:
-        worst = 0.0
-        for g in GROUP_ELEMENTS:
-            for h in GROUP_ELEMENTS:
-                gh = group_mult(g, h)
-                worst = max(worst, float(np.linalg.norm(
-                    self.pi[g] @ self.pi[h] - self.pi[gh])))
-        return worst
+        """max over g, h of ||pi(g) pi(h) - pi(gh)||_F."""
+        pis = self.stack()
+        return float(frobenius_norms(pis[:, None] @ pis[None] - pis[_CAYLEY]).max())
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Check the group relations; returns the homomorphism residual."""
@@ -229,16 +235,16 @@ def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> Mat
     return MatrixAlgebra(pcs.dim, commutant_of_matrices([pcs.matrix], tol), unital=True)
 
 
-def _check_invariant(pair: GenericPair, ops: dict, tol: Tolerance) -> None:
+def _check_invariant(pair: GenericPair, names, ops: np.ndarray, tol: Tolerance) -> None:
     """Raise NotInvariantError unless both subspaces of the pair are invariant
-    under every operator in ``ops`` (name -> matrix)."""
+    under every operator of the (k, n, n) stack ``ops``, named by ``names``."""
     for basis in (pair.m_basis, pair.n_basis):
         q = orthonormal_rows(basis.T, tol)
-        for name, op in ops.items():
-            img = op @ basis
-            leak = np.linalg.norm(img - q.T @ (q @ img))
-            if not tol.leak_ok(leak, max(1.0, float(np.linalg.norm(img))), pair.ambient_dim):
-                raise NotInvariantError(f"subspace is not invariant under {name}")
+        imgs = ops @ basis
+        leaks, sizes = frobenius_norms(np.stack([imgs - q.T @ (q @ imgs), imgs]))
+        ok = tol.leak_ok(leaks, np.maximum(1.0, sizes), pair.ambient_dim)
+        if not ok.all():
+            raise NotInvariantError(f"subspace is not invariant under {names[np.argmin(ok)]}")
 
 
 def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT_TOL) -> PCSOperator:
@@ -252,7 +258,7 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     if u.shape[0] != n:
         raise ShapeMismatchError("structure unit must match the ambient dimension")
     proj_m, proj_n, cond = pair.decomposition(tol)
-    _check_invariant(pair, {"the structure unit": u}, tol)
+    _check_invariant(pair, ["the structure unit"], u[None], tol)
     s = u @ proj_m - u @ proj_n
     svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
@@ -276,15 +282,11 @@ def build_quaternion_rep(m: int, twists=None) -> GroupRep:
         if svals[-1] <= _TWIST_RCOND * max(1.0, svals[0]):
             raise SingularTwistError("twist matrix is singular")
         inverses.append(np.linalg.inv(t))
-    n = 4 * m
-    pi = {}
-    for g in GROUP_ELEMENTS:
-        lg = left_mult_matrix(GROUP_UNITS[g])
-        blocks = np.zeros((n, n))
-        for b, (t, tinv) in enumerate(zip(mats, inverses)):
-            blocks[4 * b:4 * b + 4, 4 * b:4 * b + 4] = t @ lg @ tinv
-        pi[g] = blocks
-    return GroupRep(n=n, pi=pi)
+    lgs = np.stack([left_mult_matrix(GROUP_UNITS[g]) for g in GROUP_ELEMENTS])
+    blocks = np.stack(mats)[None] @ lgs[:, None] @ np.stack(inverses)[None]  # (8, m, 4, 4)
+    pis = np.zeros((len(GROUP_ELEMENTS), m, 4, m, 4))
+    pis[:, np.arange(m), :, np.arange(m)] = blocks.swapaxes(0, 1)  # block b on the diagonal
+    return GroupRep(n=4 * m, pi=dict(zip(GROUP_ELEMENTS, pis.reshape(-1, 4 * m, 4 * m))))
 
 
 def twisted_rep(pair: GenericPair, tau: GroupRep, automorphism=None,
@@ -299,7 +301,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, automorphism=None,
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
-    _check_invariant(pair, {f"tau({g})": tau.pi[g] for g in GROUP_ELEMENTS}, tol)
+    _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.stack(), tol)
     pi = {g: tau.pi[g] @ proj_m + tau.pi[alpha[g]] @ proj_n for g in GROUP_ELEMENTS}
     return GroupRep(n=n, pi=pi)
 
@@ -309,10 +311,9 @@ def group_mean(k, rep: GroupRep) -> np.ndarray:
     km = as_matrix(k, square=True)
     if km.shape != (rep.n, rep.n):
         raise ShapeMismatchError("operator shape must match the representation")
-    out = np.zeros_like(km)
-    for g in GROUP_ELEMENTS:
-        out += rep.pi[g] @ km @ rep.pi[group_inverse(g)]
-    return out
+    pis = rep.stack()
+    inverses = pis[np.nonzero(_CAYLEY == 0)[1]]  # g h = 1, pi(1) first: h = g^-1 in row g
+    return np.sum(pis @ km @ inverses, axis=0)
 
 
 def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -20,6 +20,7 @@ reproducible and instances can be processed in parallel by the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -182,6 +183,15 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
     return MatrixAlgebra(n, span.reshape(-1, n, n), unital=bool(tol.residual_ok(ident_res)))
 
 
+@functools.lru_cache(maxsize=8)
+def _spin_draws(n: int) -> np.ndarray:
+    """The spin's seeded vectors in R^n, drawn once per n (for the last 8 n) and
+    read-only, as every caller shares them."""
+    draws = np.random.default_rng(12345).standard_normal((n, n))
+    draws.flags.writeable = False
+    return draws
+
+
 def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal (k, n, n) basis (trace form) of what commutes with the (m, n, n)
     stack ``basis``, solved in R^(n k), not R^(n^2).
@@ -201,7 +211,7 @@ def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
     words = np.concatenate([np.eye(n)[None] / math.sqrt(n),
                             basis[live] / norms[live, None, None]])
     m = len(words)
-    draws = np.random.default_rng(12345).standard_normal((n, n))  # x_j = draws[j]
+    draws = _spin_draws(n)  # x_j = draws[j]
     for k in range(-(-n // m), n + 1):
         u, s, vt = svd((words @ draws[:k].T).transpose(1, 0, 2).reshape(n, m * k),
                        full_matrices=False)
@@ -220,8 +230,7 @@ def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
     comm = orthonormal_rows(cands.reshape(-1, n * n), tol).reshape(-1, n, n)
     worst = np.linalg.norm(comm[:, None] @ basis[None] - basis[None] @ comm[:, None],
                            axis=(2, 3)).max(axis=0, initial=0.0)
-    if all(tol.relation_ok(res, max(1.0, nrm) * _CONDITIONING_BUDGET, n)
-           for res, nrm in zip(worst.tolist(), norms.tolist())):
+    if np.all(tol.relation_ok(worst, np.maximum(1.0, norms) * _CONDITIONING_BUDGET, n)):
         return comm
     raise NoConvergenceError("commutant candidates fail to commute with a basis element")
 

@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "as_vector",
+    "frobenius_norms",
     "rank_of",
     "nullspace_of",
     "solve_least_squares",
@@ -60,8 +61,11 @@ class Tolerance:
         if not 0 <= self.abs_eps < math.inf:
             raise ValueError(f"abs_eps must be nonnegative and finite, got {self.abs_eps!r}")
 
-    def cutoff(self, scale: float) -> float:
-        """Absolute cutoff for quantities whose natural scale is ``scale``."""
+    def cutoff(self, scale):
+        """Absolute cutoff for quantities whose natural scale is ``scale``; elementwise
+        for an array of scales."""
+        if isinstance(scale, np.ndarray):
+            return np.maximum(self.abs_eps, self.rel_eps * scale)
         return max(self.abs_eps, self.rel_eps * float(scale))
 
     def rank(self, s, budget: float = 1.0) -> int:
@@ -77,25 +81,31 @@ class Tolerance:
         quantity of size ``scale``, 1e3 for the solve's rounding (elementwise)."""
         return residual <= self.cutoff(1.0) * scale * 1e3
 
-    def relation_ok(self, residual, scale: float, n: int) -> bool:
+    def relation_ok(self, residual, scale, n: int):
         """``residual <= cutoff(scale) * n * 10``: a commutator or relation of
-        n x n matrices with products of size ``scale``, each entry a sum of n."""
+        n x n matrices with products of size ``scale``, each entry a sum of n
+        (elementwise)."""
         return residual <= self.cutoff(scale) * n * 10
 
-    def leak_ok(self, leak: float, scale: float, n: int) -> bool:
+    def leak_ok(self, leak, scale, n: int):
         """``leak <= cutoff(scale) * n * 100``: a residual formed through a projection
-        or a chain of products (a subspace leak, the quaternion group relations)."""
+        or a chain of products (a subspace leak, the quaternion group relations;
+        elementwise)."""
         return leak <= self.cutoff(scale) * n * 100
 
     def spectral_floor(self, scale: float) -> float:
         """``10 * cutoff(scale)``: eigenvalue moduli and gaps at or below it are zero."""
         return 10 * self.cutoff(scale)
 
+    def interpolation_ok(self, worst, max_y):
+        """``worst <= cutoff(max_y * _CONDITIONING_BUDGET)``: the worst residual of
+        T x_i = y_i, max_y the largest target norm (elementwise, one per trial)."""
+        return worst <= self.cutoff(max_y * _CONDITIONING_BUDGET)
+
     def check_interpolation(self, worst: float, max_y: float) -> None:
-        """Raise NoSolutionError unless the worst residual of T x_i = y_i is at most
-        ``cutoff(max_y * _CONDITIONING_BUDGET)``, max_y the largest target norm."""
-        threshold = self.cutoff(max_y * _CONDITIONING_BUDGET)
-        if worst > threshold:
+        """Raise NoSolutionError unless ``interpolation_ok(worst, max_y)``."""
+        if not self.interpolation_ok(worst, max_y):
+            threshold = self.cutoff(max_y * _CONDITIONING_BUDGET)
             raise NoSolutionError(
                 f"interpolation infeasible (residual {worst:.3e} > {threshold:.3e})",
                 residual=worst,
@@ -141,6 +151,17 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("vector contains NaN or Inf entries")
     return a
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """||a||_F of each matrix a in a (..., r, c) stack, bit for bit ``np.linalg.norm(a)``.
+
+    Both sum the squares with one BLAS dot per matrix, as a (1, rc) @ (rc, 1)
+    product does; ``np.linalg.norm(stack, axis=(-2, -1))`` sums them pairwise
+    and moves the last bits of about half the norms.
+    """
+    rows = stack.reshape(stack.shape[:-2] + (1, -1))
+    return np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0])
 
 
 def rank_of(m, tol: Tolerance = DEFAULT_TOL) -> int:

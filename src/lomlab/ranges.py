@@ -8,8 +8,9 @@ over a finite horizon is semi-decidable: the verdict records exactly what was
 established (a working p, a witness pair violating every p up to the bound,
 or undecided with the search bounds).
 
-All partial sums are exact integer arithmetic; witnesses can be re-verified
-by independent summation.  ``mpmath`` is imported only by ``_floor_power_of``,
+All partial sums are exact integer arithmetic, on int64 arrays while they fit
+and on arrays of Python ints past that; witnesses can be re-verified by
+independent summation.  ``mpmath`` is imported only by ``_floor_power_of``,
 for exponents whose exact ratio has a denominator above 64.
 """
 
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
+
+import numpy as np
 
 from .errors import BadExponentError
 
@@ -80,9 +82,14 @@ class DimSequence:
     def infinite_head(self) -> bool:
         return self.dims[0] == INFINITY
 
-    def prefix_sums(self):
-        """Integer prefix sums with the infinite head counted as zero."""
-        return list(accumulate((0 if d == INFINITY else d for d in self.dims), initial=0))
+    def prefix_sums(self) -> np.ndarray:
+        """Exact integer prefix sums, from 0, with the infinite head counted as zero.
+
+        int64 while the total stays below 2**62, so every difference of two sums
+        fits too; Python ints (``dtype=object``) past that.
+        """
+        dims = (0, 0 if self.infinite_head else self.dims[0]) + self.dims[1:]
+        return np.cumsum(np.array(dims, dtype=np.int64 if sum(dims) < 2 ** 62 else object))
 
 
 def window_sum(seq: DimSequence, lo: int, hi: int):
@@ -134,7 +141,7 @@ def _pair_bounds(h: DimSequence, k: DimSequence, p: int, m_max: int):
     return min(m_max, h.horizon, k.horizon - p), (p + 1 if k.infinite_head else 0)
 
 
-def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
+def _direction_violation(h: DimSequence, k: DimSequence, ph: np.ndarray, pk: np.ndarray,
                          p: int, m_max: int):
     """First pair (n, m) with sum_{n..m} h > sum_{n-p..m+p} k, else None.
 
@@ -148,20 +155,22 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: list, pk: list,
     if h.infinite_head and not k.infinite_head:
         # n = 0 makes the left window infinite while the right stays finite.
         return (0, 1), True
+    if m_top <= lo:
+        return None, False
 
     # A finite pair n < m violates when ph[m+1] - pk[m+p+1] exceeds
-    # D(n) = ph[n] - pk[max(n-p, 0)], so one running minimum of D over n < m
-    # decides every m.  Pairs from n = lo on have both windows finite: an
-    # infinite right head satisfies every n <= p, which covers n = 0 of an
-    # infinite left head (a finite right head with one returned above).
-    best_n, best_d = None, math.inf
-    for m in range(lo + 1, m_top + 1):
-        d = ph[m - 1] - (pk[m - 1 - p] if m > p else 0)
-        if d < best_d:
-            best_n, best_d = m - 1, d
-        if ph[m + 1] - pk[m + p + 1] > best_d:
-            return (best_n, m), True
-    return None, m_top > lo
+    # D(n) = ph[n] - pk[max(n-p, 0)], so the running minimum of D over n < m
+    # decides every m, and its first argmin is the witness n.  Pairs from n = lo
+    # on have both windows finite: an infinite right head satisfies every
+    # n <= p, which covers n = 0 of an infinite left head (a finite right head
+    # with one returned above).
+    d = ph[lo:m_top] - pk[np.maximum(np.arange(lo - p, m_top - p), 0)]  # n = lo..m_top-1
+    ends = ph[lo + 2:m_top + 2] - pk[lo + p + 2:m_top + p + 2]  # m = lo+1..m_top
+    bad = np.flatnonzero(ends > np.minimum.accumulate(d))
+    if not len(bad):
+        return None, True
+    i = int(bad[0])
+    return (lo + int(np.argmin(d[:i + 1])), lo + 1 + i), True
 
 
 def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) -> IsoVerdict:
@@ -174,14 +183,14 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
     only shrinks).  If neither can be established within the materialized
     horizons, the verdict is undecided.
 
-    Each direction is scanned until it holds.  A direction that holds at p
-    holds at every larger p, so it is not scanned again: the checkable pairs
-    at p + 1 are a subset of those at p, the dominating window at p + 1
-    contains the one at p and every dim is nonnegative, and the early (0, 1)
-    violation does not depend on p.  Only whether any finite pair is still
-    checkable changes, and that is read off the pair bounds.  A failing
-    direction is scanned at every p, since the witness is its first violation
-    at p_max.
+    A direction that holds at p holds at every larger p: the checkable pairs
+    at p + 1 are a subset of those at p, the dominating window at p + 1 contains
+    the one at p and every dim is nonnegative, and the early (0, 1) violation
+    does not depend on p.  So both directions are scanned at p_max first; one
+    that fails there fails at every p, and that scan gives the witness.  Only
+    when both hold at p_max are the smaller shifts searched upward, and a
+    direction that holds is not scanned again: whether any finite pair is still
+    checkable is read off the pair bounds.
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -189,29 +198,30 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
         raise ValueError("p_max must be nonnegative")
     ph = h.prefix_sums()
     pk = k.prefix_sums()
+    at_p_max = (_direction_violation(h, k, ph, pk, p_max, horizon),
+                _direction_violation(k, h, pk, ph, p_max, horizon))
+    for (fail, _), direction in zip(at_p_max, ("left_exceeds_right", "right_exceeds_left")):
+        if fail is not None:
+            return IsoVerdict("non_isomorphic", witness=fail + (direction,),
+                              p_max=p_max, horizon=horizon)
 
-    def at_shift(big, small, pb, ps, p, held):
-        """``_direction_violation``'s result, read off the bounds once held."""
-        if held:
+    def at_shift(big, small, pb, ps, p, last):
+        """``_direction_violation``'s result at p, read off the bounds once ``last``,
+        the result at p - 1, held."""
+        if last is not None and last[0] is None:
             m_top, lo = _pair_bounds(big, small, p, horizon)
             return None, m_top > lo
         return _direction_violation(big, small, pb, ps, p, horizon)
 
-    fail_hk = fail_kh = None
-    for p in range(p_max + 1):
-        fail_hk, checked_hk = at_shift(h, k, ph, pk, p, p > 0 and fail_hk is None)
-        fail_kh, checked_kh = at_shift(k, h, pk, ph, p, p > 0 and fail_kh is None)
-        if fail_hk is None and fail_kh is None and checked_hk and checked_kh:
+    # both hold at p_max: search the smaller shifts upward
+    hk = kh = None
+    for p in range(p_max):
+        hk = at_shift(h, k, ph, pk, p, hk)
+        kh = at_shift(k, h, pk, ph, p, kh)
+        if hk == kh == (None, True):
             return IsoVerdict("isomorphic", p=p, p_max=p_max, horizon=horizon)
-    # The loop ended at p = p_max; its two results decide the witness.
-    if fail_hk is not None:
-        n, m = fail_hk
-        return IsoVerdict("non_isomorphic", witness=(n, m, "left_exceeds_right"),
-                          p_max=p_max, horizon=horizon)
-    if fail_kh is not None:
-        n, m = fail_kh
-        return IsoVerdict("non_isomorphic", witness=(n, m, "right_exceeds_left"),
-                          p_max=p_max, horizon=horizon)
+    if at_p_max == ((None, True), (None, True)):
+        return IsoVerdict("isomorphic", p=p_max, p_max=p_max, horizon=horizon)
     return IsoVerdict("undecided", p_max=p_max, horizon=horizon)
 
 
@@ -279,9 +289,13 @@ def power_family(t: float, horizon: int) -> DimSequence:
         raise BadExponentError(f"exponent must exceed 1, got {t}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    floor_power = _floor_power_of(t)
-    dims = [INFINITY] + [floor_power(k) for k in range(1, horizon + 1)]
-    return DimSequence(tuple(dims))
+    num, den = t.as_integer_ratio()
+    if den == 1 and horizon ** num < 2 ** 62:  # floor(k^t) = k^num, exact in int64
+        dims = (np.arange(1, horizon + 1, dtype=np.int64) ** num).tolist()
+    else:
+        floor_power = _floor_power_of(t)
+        dims = [floor_power(k) for k in range(1, horizon + 1)]
+    return DimSequence((INFINITY, *dims))
 
 
 def asymptotic_certificate(t: float, r: float, p: int, horizon: int) -> Optional[int]:

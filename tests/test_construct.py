@@ -4,6 +4,7 @@ import pytest
 from conftest import random_similarity
 from lomlab.classify import classify_type
 from lomlab.construct import (
+    _CAYLEY,
     CONJUGATION_BY_J,
     GROUP_ELEMENTS,
     GROUP_UNITS,
@@ -20,7 +21,7 @@ from lomlab.construct import (
     t_vf,
     twisted_rep,
 )
-from lomlab.division import AlgebraType, Quaternion, embed_quaternion, quat_mul
+from lomlab.division import AlgebraType, Quaternion, embed_quaternion, left_mult_matrix, quat_mul
 from lomlab.engine import d_independent_subfamily
 from lomlab.errors import (
     BadScheduleError,
@@ -62,6 +63,13 @@ def test_group_table():
         assert group_inverse(a) == label_of(GROUP_UNITS[a].conjugate())
         for b in GROUP_ELEMENTS:
             assert group_mult(a, b) == label_of(quat_mul(GROUP_UNITS[a], GROUP_UNITS[b]))
+
+
+def test_cayley_table_is_the_group_table():
+    assert _CAYLEY.shape == (8, 8)
+    for a, g in enumerate(GROUP_ELEMENTS):
+        for b, h in enumerate(GROUP_ELEMENTS):
+            assert GROUP_ELEMENTS[_CAYLEY[a, b]] == group_mult(g, h)
 
 
 # --- build_pcs -------------------------------------------------------------------
@@ -265,6 +273,53 @@ def test_twisted_rep_rejects_noninvariant_pair():
     n = np.eye(8)[:, 3:7]  # mixes the two quaternionic blocks
     with pytest.raises((NotInvariantError, NotComplementaryError)):
         twisted_rep(GenericPair(m, n), tau)
+
+
+def loop_quaternion_rep(m, twists):
+    """Reference builder: each block t L(g) t^-1 placed by its own product."""
+    pi = {}
+    for g in GROUP_ELEMENTS:
+        lg = left_mult_matrix(GROUP_UNITS[g])
+        blocks = np.zeros((4 * m, 4 * m))
+        for b, t in enumerate(twists):
+            blocks[4 * b:4 * b + 4, 4 * b:4 * b + 4] = t @ lg @ np.linalg.inv(t)
+        pi[g] = blocks
+    return pi
+
+
+def loop_homomorphism_residual(rep):
+    """Reference residual: one product and one norm per pair of group elements."""
+    return max(float(np.linalg.norm(rep.pi[g] @ rep.pi[h] - rep.pi[group_mult(g, h)]))
+               for g in GROUP_ELEMENTS for h in GROUP_ELEMENTS)
+
+
+def loop_group_mean(k, rep):
+    out = np.zeros_like(k)
+    for g in GROUP_ELEMENTS:
+        out += rep.pi[g] @ k @ rep.pi[group_inverse(g)]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_batched_rep_matches_the_loops_bit_for_bit(seed):
+    # untwisted reps, twists up to kappa = 1e2, and reps twisted on a pair
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 4
+    twists = [np.eye(4)] * m if seed % 3 == 0 else \
+        [random_similarity(rng, 4, 10.0 ** rng.uniform(0.0, 2.0)) for _ in range(m)]
+    rep = build_quaternion_rep(m, None if seed % 3 == 0 else twists)
+    reference = loop_quaternion_rep(m, twists)
+    for g in GROUP_ELEMENTS:
+        assert np.array_equal(rep.pi[g], reference[g])
+    reps = [rep]
+    if m > 1:
+        n = 4 * m
+        pair = GenericPair(np.eye(n)[:, :4], np.eye(n)[:, 4:])
+        reps.append(twisted_rep(pair, rep))
+    for r in reps:
+        assert r.homomorphism_residual() == loop_homomorphism_residual(r)
+        k = rng.standard_normal((r.n, r.n))
+        assert np.array_equal(group_mean(k, r), loop_group_mean(k, r))
 
 
 def quaternion_basis_of(columns, tau, tol_rank=1e-9):

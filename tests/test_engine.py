@@ -411,6 +411,38 @@ def test_commutant_spins_past_an_ill_conditioned_word_matrix(kind, n, seed, kapp
     assert len(commutant(alg)) == dim
 
 
+@pytest.mark.parametrize("seed, log_kappa", [(25887, 2.880), (14085, 2.406)])
+def test_commutant_of_a_conjugated_quaternion_line_keeps_every_direction(seed, log_kappa):
+    # conjugated M_1(H) at n = 4 whose relations all hold only up to rounding; a kernel
+    # cut against the rounding-level s_1 of the spin's system once gave dimension 3
+    alg = planted_algebra(np.random.default_rng(seed), "Quaternion", max_ambient=8,
+                          cond=10.0 ** log_kappa)
+    assert (alg.ambient_dim, alg.dim) == (4, 4)
+    comm, oracle = commutant(alg), kronecker_commutant(alg.basis)
+    assert len(comm) == len(oracle) == 4
+    assert span_gap(comm, oracle) < 1e-6
+    assert is_transitive(alg).transitive
+
+
+def test_commutant_of_a_recognized_complex_unit_keeps_every_direction():
+    # span{I, W} for the unit W of a planted M_4(C) (drawn after one Real algebra):
+    # its commutant is M_4(C), dimension 32, which a rounding-level cut once made 24
+    rng = np.random.default_rng(9)
+    planted_algebra(rng, "Real", max_ambient=8)
+    alg = planted_algebra(rng, "Complex", max_ambient=8)
+    (w,) = frobenius_recognize(commutant(alg)).units
+    line = generate_algebra([w], True)
+    comm, oracle = commutant(line), kronecker_commutant(line.basis)
+    assert len(comm) == len(oracle) == len(commutant_of_matrices([w])) == 32
+    assert span_gap(comm, oracle) < 1e-6
+
+
+def test_spin_draws_are_drawn_once_per_dimension_and_read_only():
+    draws = engine._spin_draws(5)
+    assert engine._spin_draws(5) is draws and not draws.flags.writeable
+    assert np.array_equal(draws, np.random.default_rng(12345).standard_normal((5, 5)))
+
+
 # --- transitivity ------------------------------------------------------------
 
 def test_transitive_full():

@@ -17,6 +17,7 @@ from lomlab.numeric import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    frobenius_norms,
     nullspace_of,
     orthonormal_rows,
     rank_of,
@@ -314,6 +315,34 @@ def test_policy_accepts_at_threshold_and_rejects_one_ulp_above(tol, scale, n):
     tol.check_interpolation(threshold, scale)
     with pytest.raises(NoSolutionError, match="interpolation infeasible"):
         tol.check_interpolation(one_ulp_above(threshold), scale)
+
+
+@given(tolerances, st.lists(sizes, min_size=1, max_size=6), st.integers(1, 64))
+@settings(max_examples=80, deadline=None)
+def test_policy_on_arrays_decides_each_entry_as_on_scalars(tol, scales, n):
+    # one array comparison stands for a loop of scalar decisions, bit for bit, at
+    # each threshold and one ulp above it
+    checks = [
+        (tol.relation_ok, lambda s: tol.cutoff(s) * n * 10, (n,)),
+        (tol.leak_ok, lambda s: tol.cutoff(s) * n * 100, (n,)),
+        (tol.interpolation_ok, lambda s: tol.cutoff(s * _CONDITIONING_BUDGET), ()),
+    ]
+    for method, threshold, rest in checks:
+        values = [threshold(s) if i % 2 else one_ulp_above(threshold(s))
+                  for i, s in enumerate(scales)]
+        got = method(np.array(values), np.array(scales), *rest)
+        assert got.tolist() == [bool(method(v, s, *rest)) for v, s in zip(values, scales)]
+        assert got.tolist() == [bool(i % 2) for i in range(len(scales))]
+
+
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_frobenius_norms_match_one_norm_per_matrix_bit_for_bit(count, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, 2, rows, cols)) * 10.0 ** rng.uniform(-8, 8)
+    got = frobenius_norms(stack)
+    assert got.shape == (count, 2)
+    assert got.tolist() == [[float(np.linalg.norm(m)) for m in pair] for pair in stack]
 
 
 @given(tolerances, st.floats(1.0, 1e3))

@@ -1,5 +1,6 @@
 import math
 import re
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -168,10 +169,9 @@ def test_check_isomorphism_sums_each_sequence_once(monkeypatch):
                         counting(ranges._direction_violation, "_direction_violation"))
     verdict = check_isomorphism(h, k, p_max=20, horizon=2000)
     assert verdict.verdict == "non_isomorphic"
-    # the left direction holds at p = 0 and is not scanned again; the failing
-    # right direction is scanned at each p = 0..20, and the witness reuses the
-    # p = 20 scan
-    assert calls == {"prefix_sums": 2, "_direction_violation": 22}
+    # both directions are scanned once, at p_max = 20: the right one fails there,
+    # so it fails at every smaller p, and that scan is the witness
+    assert calls == {"prefix_sums": 2, "_direction_violation": 2}
 
 
 def test_symmetry_of_verdicts():
@@ -255,12 +255,32 @@ def test_check_isomorphism_matches_brute_force(a, b, p_max, horizon):
     assert verdict.verdict == "undecided"
 
 
+def loop_direction_violation(h, k, p, m_max):
+    """Reference scan, one Python loop over list prefix sums: the first m whose
+    right end exceeds the running minimum of D(n) = ph[n] - pk[max(n - p, 0)]
+    over n < m, with the first n attaining that minimum (a strict <)."""
+    ph = list(accumulate((0 if d == INFINITY else d for d in h.dims), initial=0))
+    pk = list(accumulate((0 if d == INFINITY else d for d in k.dims), initial=0))
+    m_top, lo = min(m_max, h.horizon, k.horizon - p), (p + 1 if k.infinite_head else 0)
+    if m_top < 1:
+        return None, False
+    if h.infinite_head and not k.infinite_head:
+        return (0, 1), True
+    best_n, best_d = None, math.inf
+    for m in range(lo + 1, m_top + 1):
+        d = ph[m - 1] - (pk[m - 1 - p] if m > p else 0)
+        if d < best_d:
+            best_n, best_d = m - 1, d
+        if ph[m + 1] - pk[m + p + 1] > best_d:
+            return (best_n, m), True
+    return None, m_top > lo
+
+
 def reference_check_isomorphism(h, k, p_max, horizon):
-    """Both directions scanned at every p, with no reuse between shifts."""
-    ph, pk = h.prefix_sums(), k.prefix_sums()
+    """Both directions scanned by the loop at every p, with no reuse between shifts."""
     for p in range(p_max + 1):
-        fail_hk, checked_hk = ranges._direction_violation(h, k, ph, pk, p, horizon)
-        fail_kh, checked_kh = ranges._direction_violation(k, h, pk, ph, p, horizon)
+        fail_hk, checked_hk = loop_direction_violation(h, k, p, horizon)
+        fail_kh, checked_kh = loop_direction_violation(k, h, p, horizon)
         if fail_hk is None and fail_kh is None and checked_hk and checked_kh:
             return "isomorphic", p, None
     if fail_hk is not None:
@@ -276,6 +296,29 @@ def test_check_isomorphism_matches_scan_at_every_p(a, b, p_max, horizon):
     verdict = check_isomorphism(a, b, p_max=p_max, horizon=horizon)
     assert (verdict.verdict, verdict.p, verdict.witness) == \
         reference_check_isomorphism(a, b, p_max, horizon)
+
+
+huge_dim_sequences = st.builds(
+    lambda dims, head: DimSequence((INFINITY,) * head + tuple(dims[head:])),
+    st.lists(st.one_of(st.integers(0, 5), st.integers(2 ** 62, 2 ** 64)),
+             min_size=1, max_size=12),
+    st.booleans(),
+)
+
+
+@given(huge_dim_sequences, huge_dim_sequences, st.integers(0, 8), st.integers(2, 14))
+@settings(max_examples=300, deadline=None)
+def test_check_isomorphism_on_python_ints_matches_scan_at_every_p(a, b, p_max, horizon):
+    # entries of 2**62 and more push the prefix sums past int64 into Python ints
+    verdict = check_isomorphism(a, b, p_max=p_max, horizon=horizon)
+    assert (verdict.verdict, verdict.p, verdict.witness) == \
+        reference_check_isomorphism(a, b, p_max, horizon)
+    for seq in (a, b):
+        sums = seq.prefix_sums()
+        big = sum(d for d in seq.dims if d != INFINITY) >= 2 ** 62
+        assert sums.dtype == (object if big else np.int64)
+        assert sums.tolist() == [0] + [sum(d for d in seq.dims[:i + 1] if d != INFINITY)
+                                       for i in range(len(seq.dims))]
 
 
 def test_held_direction_with_no_pair_left_is_undecided():
@@ -327,6 +370,25 @@ def test_power_family_exact_path_consistent(k, t):
     frac = Fraction(t)
     assert fam_val ** frac.denominator <= k ** frac.numerator
     assert (fam_val + 1) ** frac.denominator > k ** frac.numerator
+
+
+def int64_guard_horizon(num):
+    """The largest horizon whose num-th power stays below 2**62."""
+    return ranges._integer_root(2 ** 62 - 1, num)
+
+
+@given(st.integers(2, 6), st.integers(-3, 3), st.integers(1, 3000))
+@settings(max_examples=60, deadline=None)
+def test_power_family_integer_exponent_is_exact(num, offset, horizon):
+    # for num >= 4 the horizon sits on either side of the int64 guard (46,340 at
+    # most), so both the one-array-op path and the Python-int path are taken; for
+    # num = 2 and 3 the guard (2**31 and 1,664,510) is out of reach of a test
+    if num >= 4:
+        horizon = int64_guard_horizon(num) + offset
+    dims = power_family(float(num), horizon).dims
+    assert dims[0] == INFINITY
+    assert [type(d) for d in dims[1:]] == [int] * horizon
+    assert list(dims[1:]) == [ranges._integer_root(k ** num, 1) for k in range(1, horizon + 1)]
 
 
 # --- asymptotic_certificate --------------------------------------------------------------
