@@ -18,8 +18,10 @@ from .division import AlgebraType, DivisionStructure
 from .engine import (
     MatrixAlgebra,
     commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
-    commutant_of_matrices,
+    commutes,
+    d_frame,
     d_independent_subfamily,
+    d_linear_maps,
     is_transitive,
     min_rank,
     strict_interpolate,
@@ -111,15 +113,12 @@ def _closed_form_residuals(algebra: MatrixAlgebra, units: list, xs: np.ndarray,
     n = algebra.ambient_dim
     span = orthonormal_rows(algebra.vec_basis(), tol)
 
-    def d_rows(v):  # rows v_i, U v_i, ... of each trial
-        return np.stack([v] + [v @ np.asarray(u).T for u in units], axis=2).reshape(len(v), -1, n)
-
     def interpolant(rows):  # T with T x_i = rows_i over D, projected onto the span
-        t = np.swapaxes(np.linalg.solve(x_d, d_rows(rows)), 1, 2).reshape(len(rows), -1)
+        t = np.swapaxes(np.linalg.solve(x_d, d_frame(rows, units)), 1, 2).reshape(len(rows), -1)
         return ((t @ span.T) @ span).reshape(-1, n, n)
 
     try:
-        x_d = d_rows(xs)
+        x_d = d_frame(xs, units)
         t = interpolant(ys)
         t += interpolant(ys - xs @ np.swapaxes(t, 1, 2))
     except np.linalg.LinAlgError:  # X_D singular or not square: a structure that does not fit
@@ -176,14 +175,6 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     return k, witness
 
 
-def _envelope_vecs(structure: DivisionStructure, n: int, tol: Tolerance) -> np.ndarray:
-    """Orthonormal rows, as vectorized n x n matrices, spanning the envelope.
-    All units are passed: with I they span D, closed under products, as the spin needs."""
-    if structure.type is AlgebraType.REAL:
-        return np.eye(n * n)
-    return commutant_of_matrices(structure.units, tol).reshape(-1, n * n)
-
-
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
              tol: Tolerance = DEFAULT_TOL, allow_real: bool = False) -> MatrixAlgebra:
     """Enveloping algebra: everything commuting with the structure units.
@@ -199,7 +190,7 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
         raise RealTypeInputError(
             "real-type envelope is the full matrix algebra; pass allow_real=True"
         )
-    return MatrixAlgebra(n, _envelope_vecs(structure, n, tol).reshape(-1, n, n), unital=True)
+    return MatrixAlgebra(n, d_linear_maps(structure.units, n, tol), unital=True)
 
 
 def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
@@ -213,17 +204,12 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     report = _certified(algebra, tol, seed)
     rank = min_rank(algebra, report.structure, tol)
     k, witness = density_degree(algebra, report.structure, density_trials, tol, seed)
-    env = _envelope_vecs(report.structure, algebra.ambient_dim, tol)
-    vecs = algebra.vec_basis()
-    residuals = np.linalg.norm(vecs - (vecs @ env.T) @ env, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(vecs, axis=1))
-    contains = bool(np.all(tol.residual_ok(residuals / scales)))
     return ClassificationReport(
         type=report.structure.type,
         commutant_dim=report.structure.commutant_dim,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
-        envelope_dim=env.shape[0],
-        envelope_contains_input=contains,
+        envelope_dim=len(d_linear_maps(report.structure.units, algebra.ambient_dim, tol)),
+        envelope_contains_input=commutes(algebra.basis, report.structure.units, tol),
     )

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .division import Quaternion, left_mult_matrix, quat_mul
-from .engine import MatrixAlgebra, commutant_of_matrices
+from .engine import MatrixAlgebra, d_linear_maps
 from .errors import (
     BadScheduleError,
     NotComplementaryError,
@@ -232,7 +232,7 @@ def t_vf(v, f, pcs: PCSOperator) -> np.ndarray:
 def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with S: transitive, complex type,
     dimension n^2/2."""
-    return MatrixAlgebra(pcs.dim, commutant_of_matrices([pcs.matrix], tol), unital=True)
+    return MatrixAlgebra(pcs.dim, d_linear_maps([pcs.matrix], pcs.dim, tol), unital=True)
 
 
 def _check_invariant(pair: GenericPair, names, ops: np.ndarray, tol: Tolerance) -> None:
@@ -346,5 +346,4 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def rep_commutant_algebra(rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with the representation:
     transitive, quaternion type, dimension n^2/4."""
-    # I, pi(i), pi(j) and pi(k) span the image of H, closed under products, as the spin needs.
-    return MatrixAlgebra(rep.n, commutant_of_matrices([rep.pi[g] for g in "ijk"], tol), unital=True)
+    return MatrixAlgebra(rep.n, d_linear_maps([rep.pi[g] for g in "ijk"], rep.n, tol), unital=True)

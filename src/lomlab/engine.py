@@ -9,9 +9,9 @@ projections, and idempotent lifting modulo a nilpotent ideal.
 
 An algebra's commutant is solved on vectors, as the MeatAxe does (Holt and
 Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
-kernel system has n k columns, k = 1 on most transitive algebras.  Given
-matrices that span an algebra with I, ``commutant_of_matrices`` spins the same
-way; no n^2 x n^2 system is built.
+kernel system has n k columns, k = 1 on most transitive algebras.  The commutant
+of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
+from one D-frame of seeded vectors.  No n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -60,13 +60,15 @@ __all__ = [
     "TransitivityReport",
     "generate_algebra",
     "commutant",
-    "commutant_of_matrices",
+    "commutes",
     "is_transitive",
     "min_rank",
     "strict_interpolate",
     "riesz_projection",
     "lift_idempotent",
     "d_independent_subfamily",
+    "d_frame",
+    "d_linear_maps",
 ]
 
 
@@ -185,27 +187,35 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
 @functools.lru_cache(maxsize=8)
 def _spin_draws(n: int) -> np.ndarray:
-    """The spin's seeded vectors in R^n, drawn once per n (for the last 8 n) and
-    read-only, as every caller shares them."""
+    """Seeded vectors in R^n, drawn once per n (for the last 8 n), read-only: callers share them."""
     draws = np.random.default_rng(12345).standard_normal((n, n))
     draws.flags.writeable = False
     return draws
 
 
-def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal (k, n, n) basis (trace form) of what commutes with the (m, n, n)
-    stack ``basis``, solved in R^(n k), not R^(n^2).
+def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Whether ||a_i b_j - b_j a_i|| passes ``relation_ok`` at max(1, ||a_i|| ||b_j||) times the
+    budget for all pairs of two (k, n, n) stacks, in one batched product (True if one is empty)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).reshape((-1,) + a.shape[1:])
+    worst = np.linalg.norm(a[:, None] @ b[None] - b[None] @ a[:, None], axis=(2, 3))
+    scale = np.maximum(1.0, np.outer(np.linalg.norm(a, axis=(1, 2)),
+                                     np.linalg.norm(b, axis=(1, 2))))
+    return bool(np.all(tol.relation_ok(worst, scale * _CONDITIONING_BUDGET, a.shape[-1])))
 
-    The words are w_0 = I and the basis, scaled to unit norm.  Seeded vectors
-    x_1..x_k are spun until Phi = [w_i x_j] has s_n >= _CYCLIC_FLOOR * s_1, from
-    k = ceil(n / #words), below which Phi cannot reach rank n, to at most n; on a
-    transitive algebra k = 1 unless Phi is ill-conditioned.  When the words span an
-    algebra, X commutes with it exactly when X w_i x_j = w_i X x_j, that is
-    X = Psi Phi^+ with Psi = [w_i v_j], v_j = X x_j, where (v_1..v_k) runs over the
-    kernel of Psi (I - Phi^+ Phi).  Every candidate is checked against every basis
-    element; a miss, as when the words are not closed, raises NoConvergenceError.
+
+def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal (k, n, n) basis (trace form) of the algebra's commutant, solved in R^(n k).
+
+    The words are w_0 = I and the basis, scaled to unit norm.  Seeded vectors x_1..x_k
+    are spun until Phi = [w_i x_j] has s_n >= _CYCLIC_FLOOR * s_1, from k = ceil(n / #words),
+    below which Phi cannot reach rank n, to at most n; on a transitive algebra k = 1
+    unless Phi is ill-conditioned.  As the words span an algebra, X commutes with it
+    exactly when X w_i x_j = w_i X x_j, that is X = Psi Phi^+ with Psi = [w_i v_j],
+    v_j = X x_j, where (v_1..v_k) runs over the kernel of Psi (I - Phi^+ Phi).  Every
+    candidate is checked against every basis element; a miss raises NoConvergenceError.
     """
-    n = basis.shape[1]
+    basis, n = algebra.basis, algebra.ambient_dim
     norms = np.linalg.norm(basis, axis=(1, 2))
     live = norms > tol.abs_eps  # a zero element adds no relation
     words = np.concatenate([np.eye(n)[None] / math.sqrt(n),
@@ -228,26 +238,35 @@ def _spin_commutant(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
     psi_vr = (g.transpose(0, 2, 1, 3).reshape(n * n, n * k) @ kernel).reshape(n, n, -1)
     cands = (psi_vr / s[:, None]).transpose(2, 0, 1) @ u.T  # Psi V_r S^-1 U^T
     comm = orthonormal_rows(cands.reshape(-1, n * n), tol).reshape(-1, n, n)
-    worst = np.linalg.norm(comm[:, None] @ basis[None] - basis[None] @ comm[:, None],
-                           axis=(2, 3)).max(axis=0, initial=0.0)
-    if np.all(tol.relation_ok(worst, np.maximum(1.0, norms) * _CONDITIONING_BUDGET, n)):
+    if commutes(comm, basis, tol):
         return comm
     raise NoConvergenceError("commutant candidates fail to commute with a basis element")
 
 
-def commutant_of_matrices(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal (k, n, n) basis (trace form) of {X : XB = BX for every B in mats},
-    spun as ``commutant`` is with ``mats`` as the basis: exact when I and the matrices
-    span an algebra (as D's units or a group's images do), else NoConvergenceError."""
-    mats = [as_matrix(m, square=True) for m in mats]
-    if not mats:
-        raise ShapeMismatchError("at least one matrix is required")
-    return _spin_commutant(MatrixAlgebra(len(mats[0]), mats, unital=False).basis, tol)
+def d_frame(v: np.ndarray, units) -> np.ndarray:
+    """Rows v_i, U v_i, ... over the units U of each (..., m, n) stack v, in (i, U) order."""
+    rows = np.stack([v] + [v @ np.asarray(u).T for u in units], axis=-2)
+    return rows.reshape(v.shape[:-2] + (-1, v.shape[-1]))
 
 
-def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal (k, n, n) basis (trace form) of the algebra's commutant, spun."""
-    return _spin_commutant(algebra.basis, tol)
+def d_linear_maps(units, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """(n m, n, n) basis of End_D(V), what commutes with the units of a division algebra D
+    on V = R^n, m = n / dim D, written down from one D-frame X_D^T = ``d_frame`` of m
+    seeded vectors x_i.  It must have rank n, so the x_i are a D-basis; map (i, a) sends
+    x_i to e_a and U x_i to U e_a: sum_U U[:, a] (x) X_D^-1[(i, U), :].  An X that commutes
+    with the units is fixed by the X x_i, so it lies in the span of the maps; each map is
+    checked against each unit, which makes the span exactly the commutant.  Units with no
+    D-frame or a failing map raise NoConvergenceError, never return a wrong basis.
+    """
+    words = np.stack([np.eye(n)] + [as_matrix(u, square=True) for u in units])
+    m = n // len(words)
+    u, s, vt = svd(d_frame(_spin_draws(n)[:m], words[1:]))
+    if tol.rank(s, _CONDITIONING_BUDGET) == n:
+        inv = ((u / s) @ vt).reshape(m, 1, len(words), n)  # X_D^-1 = U S^-1 V^T, rows (i, U)
+        maps = (words.transpose(2, 1, 0) @ inv).reshape(-1, n, n)
+        if commutes(maps, words[1:], tol):
+            return maps
+    raise NoConvergenceError("the units have no invertible D-frame or a map fails to commute")
 
 
 def _eigenspaces(comm: np.ndarray, n: int, tol: Tolerance, seed: int):

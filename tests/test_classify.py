@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from unittest import mock
 
@@ -378,6 +379,25 @@ def test_classify_report_consistency():
             assert report.density_witness is None
         else:
             assert report.density_witness.margin >= 0.1
+
+
+def test_containment_fails_for_a_unit_the_input_does_not_commute_with(monkeypatch):
+    # A lies in End_D(V) exactly when it commutes with D's units.  With the recognized
+    # unit of a conjugated M_n(C) moved by a similarity (a unit in general position,
+    # which min_rank and the density trials still get through) the check reports
+    # False; the real type has no unit and always contains its input
+    rng = np.random.default_rng(11)
+    alg = planted_algebra(rng, "Complex", max_ambient=8, cond=10.0)
+    report = is_transitive(alg)
+    p = random_similarity(rng, alg.ambient_dim, 10.0)
+    (w,) = report.structure.units
+    moved = DivisionStructure(AlgebraType.COMPLEX, (p @ w @ np.linalg.inv(p),))
+    monkeypatch.setattr(classify_module, "_certified",
+                        lambda *args: dataclasses.replace(report, structure=moved))
+    assert not classify(alg, density_trials=5).envelope_contains_input
+    monkeypatch.undo()
+    real = generate_algebra([rng.standard_normal((3, 3)) for _ in range(2)], True)
+    assert classify(real, density_trials=5).envelope_contains_input
 
 
 def test_classify_integers_similarity_invariant():

@@ -7,6 +7,7 @@ from conftest import (
     conjugated_reducible_algebra,
     kronecker_commutant,
     planted_algebra,
+    planted_generators,
     random_quaternion,
     random_similarity,
 )
@@ -23,8 +24,8 @@ from lomlab.division import (
 from lomlab.engine import (
     MatrixAlgebra,
     commutant,
-    commutant_of_matrices,
     d_independent_subfamily,
+    d_linear_maps,
     generate_algebra,
     is_transitive,
     lift_idempotent,
@@ -298,12 +299,9 @@ def test_commutant_raises_when_a_candidate_never_commutes(monkeypatch):
             commutant(generate_algebra(matrix_units(n), include_identity=True))
 
 
-def test_commutant_builds_no_kronecker_stack(monkeypatch):
-    # On a transitive M_n(D) every matrix the commutant factors has a side of at
-    # most n: the spin system is solved in R^n, never in R^(n^2)
-    def forbidden(*args, **kwargs):
-        raise AssertionError("commutant_of_matrices called")
-
+def record_factor_shapes(monkeypatch):
+    """The list that every later numeric.svd and np.linalg.qr call appends its
+    argument's shape to."""
     shapes = []
 
     def recording(fn):
@@ -312,10 +310,16 @@ def test_commutant_builds_no_kronecker_stack(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(engine, "commutant_of_matrices", forbidden)
     monkeypatch.setattr(numeric, "svd", recording(numeric.svd))
     monkeypatch.setattr(engine, "svd", recording(engine.svd))
     monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+    return shapes
+
+
+def test_commutant_builds_no_kronecker_stack(monkeypatch):
+    # On a transitive M_n(D) every matrix the commutant factors has a side of at
+    # most n: the spin system is solved in R^n, never in R^(n^2)
+    shapes = record_factor_shapes(monkeypatch)
     rng = np.random.default_rng(7)
     for kind, dim in (("Real", 1), ("Complex", 2), ("Quaternion", 4)):
         alg = planted_algebra(rng, kind, max_ambient=8, cond=1e2)
@@ -323,6 +327,18 @@ def test_commutant_builds_no_kronecker_stack(monkeypatch):
         shapes.clear()
         assert len(commutant(alg)) == dim
         assert shapes and all(min(shape) <= n for shape in shapes), (kind, n, shapes)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_d_linear_maps_factor_nothing_of_side_above_n(monkeypatch, n):
+    # End_D(V) is written down from one n x n frame: no factor has a side of n^2/d
+    shapes = record_factor_shapes(monkeypatch)
+    rng = np.random.default_rng(n)
+    for d in (2, 4):
+        units = conjugated_units(d, n, random_similarity(rng, n, 1e2))
+        shapes.clear()
+        assert len(d_linear_maps(units, n)) == n * n // d
+        assert shapes and all(max(shape) <= n for shape in shapes), (d, n, shapes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,20 +374,27 @@ def span_gap(a, b):
     return np.linalg.norm(q_a - q_b @ (q_b.T @ q_a), 2)
 
 
+def conjugated_units(d, n, p):
+    """The units of C (d = 2) or H (d = 4) acting on R^n by blocks of J or of left
+    multiplication by i, j and k, conjugated by p."""
+    blocks = [left_mult_matrix(q) for q in (I_Q, J_Q, I_Q * J_Q)] if d == 4 else [J2]
+    pinv = np.linalg.inv(p)
+    return [p @ np.kron(np.eye(n // d), b) @ pinv for b in blocks]
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["Complex", "Quaternion", "pcs", "rep"]), size=st.integers(1, 4),
        log_kappa=st.floats(0.0, 3.0), twist=st.booleans(), seed=st.integers(0, 2**16))
-def test_commutant_of_matrices_matches_the_kronecker_oracle(kind, size, log_kappa, twist, seed):
-    # the spin on I and words that span an algebra with it agrees with the kernel of
-    # the stacked commutators: recognized units of conjugated M_n(C/H), conjugated
-    # PCS with a schedule up to 1e3, and quaternion reps with twists up to 1e2
+def test_d_linear_maps_match_the_kronecker_oracle(kind, size, log_kappa, twist, seed):
+    # End_D(V) in closed form agrees with the kernel of the stacked commutators: the
+    # units of C or H conjugated by a similarity up to 1e3, conjugated PCS with a
+    # schedule up to 1e3, and quaternion reps with twists up to 1e2
     rng = np.random.default_rng(seed)
     kappa = 10.0 ** log_kappa
     if kind in ("Complex", "Quaternion"):
-        alg = planted_algebra(rng, kind, max_ambient=8, cond=kappa)
-        # recognized from the oracle: engine.commutant can drop a direction of these
-        structure = frobenius_recognize(kronecker_commutant(alg.basis))
-        mats, d = structure.units, structure.commutant_dim
+        d = 2 if kind == "Complex" else 4
+        n = d * (size if d == 2 else 1 + size % 2)
+        mats = conjugated_units(d, n, random_similarity(rng, n, kappa))
     elif kind == "pcs":
         p = random_similarity(rng, 2 * size, 10.0 ** rng.uniform(0.0, 2.0))
         mats, d = [p @ build_pcs(size, np.geomspace(1.0, kappa, size)).matrix
@@ -384,18 +407,29 @@ def test_commutant_of_matrices_matches_the_kronecker_oracle(kind, size, log_kapp
             rep = twisted_rep(GenericPair(np.eye(8)[:, :4], np.eye(8)[:, 4:]), rep)
         mats, d = [rep.pi[g] for g in "ijk"], 4
     n = len(mats[0])
-    comm = commutant_of_matrices(mats)
+    maps = d_linear_maps(mats, n)
     oracle = kronecker_commutant(mats)
-    assert len(comm) == len(oracle) == n * n // d
-    assert span_gap(comm, oracle) < 1e-6
+    assert len(maps) == len(oracle) == n * n // d
+    assert span_gap(maps, oracle) < 1e-6
 
 
-def test_commutant_of_matrices_raises_on_words_not_closed_under_products():
-    # the spin's relations hold only where I and the words span an algebra; here they
-    # do not, and the check of every candidate against g raises, not a wrong basis
+@pytest.mark.xfail(strict=True, reason="the closure keeps a rounding direction (ROADMAP item 5)")
+def test_closure_of_a_conjugated_complex_m2_has_dimension_8():
+    # planted M_2(C) on R^4 conjugated at kappa 10^2.82 (rng 15092): the closure's span
+    # takes a rounded direction and reaches all of M_4(R), dimension 16
+    rng = np.random.default_rng(15092)
+    gens, n = planted_generators(rng, "Complex", 8)
+    p = random_similarity(rng, n, 10.0 ** 2.8233631818011546)
+    alg = generate_algebra([p @ g @ np.linalg.inv(p) for g in gens], include_identity=True)
+    assert (n, alg.dim) == (4, 8)
+
+
+def test_d_linear_maps_raise_on_units_of_no_division_algebra():
+    # a generic g has a commutant of dimension 4 = n, not n^2 / 2: the maps built from
+    # the frame [x_i, g x_i] fail the check against g, which raises, not a wrong basis
     g = np.random.default_rng(0).standard_normal((4, 4))
     with pytest.raises(NoConvergenceError):
-        commutant_of_matrices([g])
+        d_linear_maps([g], 4)
 
 
 @pytest.mark.parametrize("kind, n, seed, kappa, dim", [
@@ -433,7 +467,7 @@ def test_commutant_of_a_recognized_complex_unit_keeps_every_direction():
     (w,) = frobenius_recognize(commutant(alg)).units
     line = generate_algebra([w], True)
     comm, oracle = commutant(line), kronecker_commutant(line.basis)
-    assert len(comm) == len(oracle) == len(commutant_of_matrices([w])) == 32
+    assert len(comm) == len(oracle) == len(d_linear_maps([w], 8)) == 32
     assert span_gap(comm, oracle) < 1e-6
 
 
@@ -774,7 +808,7 @@ def test_similarity_invariance():
 
 
 def test_commutant_is_a_k_n_n_array():
-    comm = commutant_of_matrices([J2])
+    comm = d_linear_maps([J2], 2)
     assert isinstance(comm, np.ndarray) and comm.shape == (2, 2, 2)
     comm = commutant(generate_algebra([embed_quaternion(I_Q), embed_quaternion(J_Q)],
                                       include_identity=False))
@@ -791,8 +825,7 @@ def test_commutant_of_the_zero_algebra_is_everything():
         assert rank_of(comm.reshape(9, -1)) == 9
 
 
-def test_commutant_of_matrices_contains_identity():
-    comm = commutant_of_matrices([N2])
-    vecs = np.stack([c.reshape(-1) for c in comm])
-    coeff, *_ = np.linalg.lstsq(vecs.T, np.eye(2).reshape(-1), rcond=None)
-    assert np.linalg.norm(vecs.T @ coeff - np.eye(2).reshape(-1)) < 1e-10
+def test_d_linear_maps_contain_identity():
+    # the frame [x, N2 x] is invertible, and the two maps span {I, N2}
+    comm = d_linear_maps([N2], 2)
+    assert span_equal(comm, [np.eye(2), N2], atol=1e-10)
