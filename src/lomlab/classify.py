@@ -17,6 +17,7 @@ import numpy as np
 from .division import AlgebraType, DivisionStructure
 from .engine import (
     MatrixAlgebra,
+    _d_frame_inverse,
     commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
     commutes,
     d_frame,
@@ -199,9 +200,10 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
 
     The commutant is computed and recognized once, by the transitivity
     certificate.  The envelope End_D(V) is the double commutant A'' of a
-    transitive A, so ``envelope_dim`` is also the double commutant's dimension.
+    transitive A; ``envelope_dim`` counts it as n m once a D-frame of m vectors has rank n.
     """
     report = _certified(algebra, tol, seed)
+    n = algebra.ambient_dim
     rank = min_rank(algebra, report.structure, tol)
     k, witness = density_degree(algebra, report.structure, density_trials, tol, seed)
     return ClassificationReport(
@@ -210,6 +212,6 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
-        envelope_dim=len(d_linear_maps(report.structure.units, algebra.ambient_dim, tol)),
+        envelope_dim=n * len(_d_frame_inverse(report.structure.units, n, tol)[1]),
         envelope_contains_input=commutes(algebra.basis, report.structure.units, tol),
     )

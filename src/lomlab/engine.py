@@ -11,7 +11,8 @@ An algebra's commutant is solved on vectors, as the MeatAxe does (Holt and
 Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
 kernel system has n k columns, k = 1 on most transitive algebras.  The commutant
 of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
-from one D-frame of seeded vectors.  No n^2 x n^2 system is built.
+from one D-frame of seeded vectors, and a rejection's invariant subspace is a spun
+vector (Norton's irreducibility test).  No n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -48,6 +49,7 @@ from .numeric import (
     Tolerance,
     as_matrix,
     as_vector,
+    frobenius_norms,
     nullspace_of,
     orthonormal_rows,
     rank_of,
@@ -249,69 +251,65 @@ def d_frame(v: np.ndarray, units) -> np.ndarray:
     return rows.reshape(v.shape[:-2] + (-1, v.shape[-1]))
 
 
-def d_linear_maps(units, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """(n m, n, n) basis of End_D(V), what commutes with the units of a division algebra D
-    on V = R^n, m = n / dim D, written down from one D-frame X_D^T = ``d_frame`` of m
-    seeded vectors x_i.  It must have rank n, so the x_i are a D-basis; map (i, a) sends
-    x_i to e_a and U x_i to U e_a: sum_U U[:, a] (x) X_D^-1[(i, U), :].  An X that commutes
-    with the units is fixed by the X x_i, so it lies in the span of the maps; each map is
-    checked against each unit, which makes the span exactly the commutant.  Units with no
-    D-frame or a failing map raise NoConvergenceError, never return a wrong basis.
-    """
+def _d_frame_inverse(units, n: int, tol: Tolerance):
+    """Words [I, units...] and X_D^-1 = U S^-1 V^T, (m, 1, #words, n), of the D-frame X_D^T =
+    ``d_frame`` of m = n / #words seeded vectors; NoConvergenceError unless it has rank n."""
     words = np.stack([np.eye(n)] + [as_matrix(u, square=True) for u in units])
     m = n // len(words)
     u, s, vt = svd(d_frame(_spin_draws(n)[:m], words[1:]))
-    if tol.rank(s, _CONDITIONING_BUDGET) == n:
-        inv = ((u / s) @ vt).reshape(m, 1, len(words), n)  # X_D^-1 = U S^-1 V^T, rows (i, U)
-        maps = (words.transpose(2, 1, 0) @ inv).reshape(-1, n, n)
-        if commutes(maps, words[1:], tol):
-            return maps
-    raise NoConvergenceError("the units have no invertible D-frame or a map fails to commute")
+    if tol.rank(s, _CONDITIONING_BUDGET) != n:
+        raise NoConvergenceError("the units have no invertible D-frame")
+    return words, ((u / s) @ vt).reshape(m, 1, len(words), n)
 
 
-def _eigenspaces(comm: np.ndarray, n: int, tol: Tolerance, seed: int):
-    """Kernels of c - lambda I, or of c^2 - 2 Re(lambda) c + |lambda|^2 I for a non-real
-    lambda, for 8 seeded random traceless commutant elements c.  If that kernel
-    is everything, j = (c - Re(lambda) I) / Im(lambda) is a complex structure; later
-    draws take c + j c j, which anticommutes with j: real spectrum in M_2(R)."""
-    rng = np.random.default_rng(seed)
-    eye = np.eye(n)
-    cstack = comm - np.trace(comm, axis1=1, axis2=2)[:, None, None] / n * eye
-    j = np.zeros((n, n))  # no complex structure found yet
-    for _ in range(8):
-        c = np.tensordot(rng.standard_normal(len(comm)), cstack, axes=1)
-        c = c + j @ c @ j
-        eigs = np.linalg.eigvals(c)
-        lam = eigs[0]
-        if abs(lam.imag) <= tol.spectral_floor(float(np.max(np.abs(eigs)))):
-            yield nullspace_of(c - lam.real * eye, tol, _CONDITIONING_BUDGET)
-        else:
-            yield nullspace_of(c @ c - 2 * lam.real * c + abs(lam) ** 2 * eye, tol,
-                               _CONDITIONING_BUDGET)
-            j = (c - lam.real * eye) / lam.imag
+def d_linear_maps(units, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """(n m, n, n) basis of End_D(V), what commutes with the units of a division algebra D
+    on V = R^n, from the D-frame x_i, U x_i, ... of ``_d_frame_inverse``: map (i, a) sends
+    x_i to e_a and U x_i to U e_a: sum_U U[:, a] (x) X_D^-1[(i, U), :].  An X that commutes
+    with the units is fixed by the X x_i, so it lies in the span of the maps; each map is
+    checked against each unit, so the span is exactly the commutant or NoConvergenceError.
+    """
+    words, inv = _d_frame_inverse(units, n, tol)
+    maps = (words.transpose(2, 1, 0) @ inv).reshape(-1, n, n)
+    if commutes(maps, words[1:], tol):
+        return maps
+    raise NoConvergenceError("a D-linear map fails to commute with the units")
 
 
-def _witness(algebra: MatrixAlgebra, comm: np.ndarray, tol: Tolerance, seed: int):
+def _witness(algebra: MatrixAlgebra, tol: Tolerance, seed: int):
     """Leak-checked proper invariant subspace ``(x, W)`` of a non-transitive algebra, x =
-    W[:, 0], or None.  The radical J, the kernel of the trace form tr(b_i b_j) (Dickson),
-    gives J V and the common kernel of J; a semisimple algebra, commutant eigenspaces."""
-    n = algebra.ambient_dim
-    if not any(np.linalg.norm(b) > tol.abs_eps for b in algebra.basis):
-        return np.eye(n)[0], np.eye(n)[:, :1]  # the zero algebra leaves every line invariant
-    stack = algebra.basis
-    trace_form = algebra.vec_basis() @ stack.transpose(0, 2, 1).reshape(algebra.dim, -1).T
-    radical = np.tensordot(nullspace_of(trace_form, tol, _CONDITIONING_BUDGET).T, stack, axes=1)
-    if len(radical):
-        u, s, _ = svd(np.hstack(radical), full_matrices=False)
-        candidates = [u[:, :tol.rank(s, _CONDITIONING_BUDGET)],
-                      nullspace_of(radical.reshape(-1, n), tol, _CONDITIONING_BUDGET)]
-    else:
-        candidates = _eigenspaces(comm, n, tol, seed) if len(comm) else []
-    for w in candidates:
-        imgs = stack @ w
-        leak = float(np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2))))
-        if 0 < w.shape[1] < n and tol.leak_ok(leak, 1.0, n):
-            return w[:, 0], w
+    W[:, 0], or None, by Norton's irreducibility test (Holt and Rees, 1994).
+
+    Each of at most 32 seeded draws a = sum c_i b_i takes the eigenvalue lambda nearest
+    the real axis and f = a - lambda I, or a^2 - 2 Re(lambda) a + |lambda|^2 I for a
+    non-real lambda.  A seeded kernel vector v of f spins to range[v, b_1 v, ...], which
+    is invariant as the basis spans an algebra; a kernel vector of f^T spins under the
+    b_i^T, and the complement of that span is invariant.  An irreducible algebra fills
+    both; a draw whose spins fill the space proves nothing and is drawn again."""
+    n, basis, eye = algebra.ambient_dim, algebra.basis, np.eye(algebra.ambient_dim)
+    if not any(np.linalg.norm(b) > tol.abs_eps for b in basis):
+        return eye[0], eye[:, :1]  # the zero algebra leaves every line invariant
+    rng = np.random.default_rng(seed)
+    for _ in range(32):
+        a = np.tensordot(rng.standard_normal(algebra.dim), basis, axes=1)
+        eigs = np.linalg.eigvals(a)
+        lam = eigs[np.argmin(np.abs(eigs.imag))]
+        real = abs(lam.imag) <= tol.spectral_floor(float(np.max(np.abs(eigs))))
+        f = a - lam.real * eye if real else a @ a - 2 * lam.real * a + abs(lam) ** 2 * eye
+        for g, stack, dual in ((f, basis, False), (f.T, basis.transpose(0, 2, 1), True)):
+            kernel = nullspace_of(g, tol, _CONDITIONING_BUDGET)
+            if not kernel.shape[1]:
+                continue
+            v = kernel @ rng.standard_normal(kernel.shape[1])
+            u, s, _ = svd(np.vstack([v, stack @ v]).T, full_matrices=False)
+            w = u[:, :tol.rank(s, _CONDITIONING_BUDGET)]
+            w = nullspace_of(w.T, tol) if dual else w
+            if not 0 < w.shape[1] < n:
+                continue
+            imgs = basis @ w
+            leak = float(np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2))))
+            if tol.leak_ok(leak, 1.0, n):
+                return w[:, 0], w
     return None
 
 
@@ -320,14 +318,13 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     """Burnside's count: transitive exactly when the commutant is a division algebra D
     and dim A * dim D = n^2.  The verdict does not depend on ``seed``, which steers
     only the witness search."""
-    comm = commutant(algebra, tol)
     try:
-        structure = frobenius_recognize(comm, tol)
+        structure = frobenius_recognize(commutant(algebra, tol), tol)
     except (BadDimensionError, NotAntiInvolutiveError):
         structure = None
     if structure is not None and algebra.dim * structure.commutant_dim == algebra.ambient_dim ** 2:
         return TransitivityReport(True, None, seed, structure)
-    return TransitivityReport(False, _witness(algebra, comm, tol, seed), seed, structure)
+    return TransitivityReport(False, _witness(algebra, tol, seed), seed, structure)
 
 
 def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -511,10 +508,9 @@ def lift_idempotent(comm_algebra: MatrixAlgebra, j_ideal, w, tol: Tolerance = DE
     n = comm_algebra.ambient_dim
     basis = comm_algebra.basis
     scale = max(1.0, max(float(np.linalg.norm(b)) for b in basis))
-    for a in basis:
-        for b in basis:
-            if not tol.relation_ok(np.linalg.norm(a @ b - b @ a), scale, n):
-                raise NotCommutativeError("algebra is not commutative")
+    worst = frobenius_norms(basis[:, None] @ basis[None] - basis[None] @ basis[:, None])
+    if not np.all(tol.relation_ok(worst, scale, n)):
+        raise NotCommutativeError("algebra is not commutative")
 
     wm = as_matrix(w, square=True)
     w_scale = max(1.0, float(np.linalg.norm(wm)))

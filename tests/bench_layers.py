@@ -1,4 +1,4 @@
-"""pytest-benchmark cases for the public ``envelope`` and ``classify``.
+"""pytest-benchmark cases for the public ``envelope``, ``classify`` and ``is_transitive``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -6,9 +6,11 @@ The file name keeps these cases out of the default test run.  Run them with
         --benchmark-json BENCH_<name>.json
 
 Inputs are two generators of M_m(C) on R^(2m) or M_m(H) on R^(4m), or of M_16(R),
-conjugated by a similarity of condition 100 (``default_rng(0)``).  Each case times
-three rounds of one call; every entry's ``extra_info`` records the CPU count and the
-BLAS thread setting.
+conjugated by a similarity of condition 100 (``default_rng(0)``).  The rejection case
+gives ``is_transitive`` the block upper-triangular algebra with diagonal blocks of n/2,
+conjugated the same way, so it times the commutant, the count and the witness.  Each
+case times three rounds of one call; every entry's ``extra_info`` records the CPU count
+and the BLAS thread setting.
 """
 
 import os
@@ -16,7 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_quaternion, random_similarity
+from conftest import conjugated_reducible_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, envelope
 from lomlab.division import embed_complex, embed_quaternion
 from lomlab.engine import generate_algebra, is_transitive
@@ -65,3 +67,12 @@ def test_classify(benchmark, kind, n):
     machine(benchmark)
     report = benchmark.pedantic(classify, args=(alg,), rounds=3, iterations=1)
     assert report.type is structure.type and report.envelope_contains_input
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_is_transitive_rejects(benchmark, n):
+    _, alg = conjugated_reducible_algebra("triangular", n, n // 2,
+                                          random_similarity(np.random.default_rng(0), n, 100.0))
+    machine(benchmark)
+    report = benchmark.pedantic(is_transitive, args=(alg,), rounds=3, iterations=1)
+    assert not report.transitive and report.witness[1].shape == (n, n // 2)

@@ -511,6 +511,36 @@ def test_transitivity_seed_recorded():
     assert is_transitive(alg, seed=7).seed == 7
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["Real", "Complex", "Quaternion"]), log_kappa=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**16))
+def test_spin_finds_no_witness_in_an_irreducible_algebra(kind, log_kappa, seed):
+    alg = planted_algebra(np.random.default_rng(seed), kind, max_ambient=8,
+                          cond=10.0 ** log_kappa)
+    assert engine._witness(alg, DEFAULT_TOL, seed) is None
+
+
+@pytest.mark.parametrize("m, seed, redraws", [
+    (2, 0, False), (2, 5, True), (2, 18, True),
+    (3, 0, False), (3, 1, False),  # an odd-size block has a real eigenvalue
+    (4, 0, False), (4, 9, True), (4, 49, True),
+])
+def test_spin_witnesses_a_conjugated_tensor_algebra(monkeypatch, m, seed, redraws):
+    # M_m (x) I_2: for a non-real eigenvalue, ker f(a) is larger than deg f (all of R^4
+    # when m = 2), so both spins fill the space and the draw is made again
+    eigvals, draws = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: draws.append(1) or eigvals(a))
+    n = 2 * m
+    mats, alg = conjugated_reducible_algebra(
+        "tensor", n, 1, random_similarity(np.random.default_rng(seed), n, 100.0))
+    x, w = engine._witness(alg, DEFAULT_TOL, seed)
+    assert (len(draws) > 1) == redraws
+    assert 0 < w.shape[1] < n and np.array_equal(x, w[:, 0])
+    assert np.allclose(w.T @ w, np.eye(w.shape[1]), atol=1e-10)
+    for u in mats:
+        assert np.linalg.norm(u @ w - w @ (w.T @ u @ w)) <= 1e-6 * np.linalg.norm(u)
+
+
 # --- strict interpolation ----------------------------------------------------
 
 def test_interpolate_full_algebra():
