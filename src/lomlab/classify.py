@@ -17,9 +17,8 @@ import numpy as np
 from .division import AlgebraType, DivisionStructure
 from .engine import (
     MatrixAlgebra,
-    _d_frame_inverse,
+    _end_d,
     commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
-    commutes,
     d_frame,
     d_independent_subfamily,
     d_linear_maps,
@@ -199,12 +198,15 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     """Full classification pipeline for a transitive algebra.
 
     The commutant is computed and recognized once, by the transitivity
-    certificate.  The envelope End_D(V) is the double commutant A'' of a
-    transitive A; ``envelope_dim`` counts it as n m once a D-frame of m vectors has rank n.
+    certificate.  ``engine._end_d`` computes once whether A commutes with D's units
+    and X_D^-1 of one D-frame of m vectors: ``min_rank`` reads both, the envelope
+    End_D(V) (the double commutant A'' of a transitive A) is counted as n m, and the
+    containment flag is reported.
     """
     report = _certified(algebra, tol, seed)
     n = algebra.ambient_dim
-    rank = min_rank(algebra, report.structure, tol)
+    contained, inv = facts = _end_d(algebra, report.structure.units, tol)
+    rank = min_rank(algebra, report.structure, tol, _facts=facts)
     k, witness = density_degree(algebra, report.structure, density_trials, tol, seed)
     return ClassificationReport(
         type=report.structure.type,
@@ -212,6 +214,6 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
-        envelope_dim=n * len(_d_frame_inverse(report.structure.units, n, tol)[1]),
-        envelope_contains_input=commutes(algebra.basis, report.structure.units, tol),
+        envelope_dim=n * len(inv),
+        envelope_contains_input=contained,
     )

@@ -1,4 +1,5 @@
-"""pytest-benchmark cases for the public ``envelope``, ``classify`` and ``is_transitive``.
+"""pytest-benchmark cases for the public ``envelope``, ``classify``, ``min_rank`` and
+``is_transitive``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -21,7 +22,7 @@ import pytest
 from conftest import conjugated_reducible_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, envelope
 from lomlab.division import embed_complex, embed_quaternion
-from lomlab.engine import generate_algebra, is_transitive
+from lomlab.engine import generate_algebra, is_transitive, min_rank
 
 CASES = [("Complex", 16), ("Complex", 32), ("Quaternion", 16), ("Quaternion", 32),
          ("Real", 16)]
@@ -67,6 +68,14 @@ def test_classify(benchmark, kind, n):
     machine(benchmark)
     report = benchmark.pedantic(classify, args=(alg,), rounds=3, iterations=1)
     assert report.type is structure.type and report.envelope_contains_input
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_min_rank(benchmark, kind, n):
+    alg, structure = planted(kind, n)
+    machine(benchmark)
+    rank = benchmark.pedantic(min_rank, args=(alg, structure), rounds=3, iterations=1)
+    assert rank == structure.commutant_dim
 
 
 @pytest.mark.parametrize("n", [16, 32])

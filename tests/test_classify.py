@@ -26,7 +26,9 @@ from lomlab.division import (
     left_mult_matrix,
 )
 from lomlab.engine import (
+    _d_frame_inverse,
     commutant,
+    commutes,
     d_independent_subfamily,
     generate_algebra,
     is_transitive,
@@ -38,6 +40,7 @@ from lomlab.numeric import solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
+engine_module = importlib.import_module("lomlab.engine")
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -398,6 +401,18 @@ def test_containment_fails_for_a_unit_the_input_does_not_commute_with(monkeypatc
     monkeypatch.undo()
     real = generate_algebra([rng.standard_normal((3, 3)) for _ in range(2)], True)
     assert classify(real, density_trials=5).envelope_contains_input
+
+
+def test_classify_computes_containment_and_the_frame_once():
+    # min_rank, envelope_dim and envelope_contains_input share one containment check
+    # and one D-frame; the commutant certificate's own check is the other commutes call
+    alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
+    with mock.patch.object(engine_module, "_d_frame_inverse", wraps=_d_frame_inverse) as frame, \
+            mock.patch.object(engine_module, "commutes", wraps=commutes) as check:
+        report = classify(alg, density_trials=5)
+    assert report.envelope_contains_input and report.min_rank == 4
+    assert frame.call_count == 1
+    assert [call.args[0] is alg.basis for call in check.call_args_list].count(True) == 1
 
 
 def test_classify_integers_similarity_invariant():

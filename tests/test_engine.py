@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -694,6 +696,71 @@ def test_min_rank_rejects_mismatched_structure():
     j_structure = frobenius_recognize([np.eye(2), J2])
     with pytest.raises(NotTransitiveError):
         min_rank(alg, j_structure)
+
+
+def spy(name):
+    """Patch counting the calls to ``engine.<name>``: the greedy pick and the least
+    squares are the steps only ``min_rank``'s fallback takes."""
+    return mock.patch.object(engine, name, wraps=getattr(engine, name))
+
+
+# Two generators of M_3(R), M_2(C) on R^4 and M_2(H) on R^8.
+FULL_GENERATORS = {
+    "Real": lambda rng: [rng.standard_normal((3, 3)) for _ in range(2)],
+    "Complex": lambda rng: [embed_complex(rng.standard_normal((2, 2)),
+                                          rng.standard_normal((2, 2))) for _ in range(2)],
+    "Quaternion": lambda rng: [embed_quaternion([[random_quaternion(rng) for _ in range(2)]
+                                                 for _ in range(2)]) for _ in range(2)],
+}
+
+
+@pytest.mark.parametrize("kind, d", [("Real", 1), ("Complex", 2), ("Quaternion", 4)])
+def test_min_rank_of_a_full_algebra_writes_k_down(kind, d):
+    # A = End_D(V) is checked, so K is the D-linear map of the frame: no pick, no solve
+    alg = generate_algebra(FULL_GENERATORS[kind](np.random.default_rng(5)), True)
+    structure = is_transitive(alg).structure
+    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver:
+        assert min_rank(alg, structure) == d
+    assert picker.call_count == solver.call_count == 0
+
+
+@pytest.mark.parametrize("kind", ["Real", "Complex", "Quaternion"])
+@pytest.mark.parametrize("seed", range(4))
+def test_min_rank_closed_form_agrees_with_the_fallback(kind, seed):
+    # conjugated planted M_m(D) at kappa <= 100; facts that fail the End_D(V) check
+    # force the least-squares fallback
+    rng = np.random.default_rng(seed)
+    alg = planted_algebra(rng, kind, max_ambient=12, cond=float(rng.uniform(1.0, 100.0)))
+    structure = is_transitive(alg).structure
+    with spy("strict_interpolate") as solver:
+        closed = min_rank(alg, structure)
+        assert solver.call_count == 0
+        fallback = min_rank(alg, structure, _facts=(False, None))
+        assert solver.call_count == 1
+    assert closed == fallback == structure.commutant_dim
+
+
+def test_min_rank_mismatched_structure_takes_the_fallback():
+    # M_2(R) does not commute with J, so the closed form is not taken
+    alg = generate_algebra(matrix_units(2), include_identity=True)
+    with spy("d_independent_subfamily") as picker, pytest.raises(NotTransitiveError):
+        min_rank(alg, frobenius_recognize([np.eye(2), J2]))
+    assert picker.call_count == 1
+
+
+def test_min_rank_of_a_conjugated_complex_algebra_at_kappa_1e3():
+    # M_8(C) on R^16 conjugated at kappa = 1e3, the draw of the benchmark's planted
+    # generators at default_rng(3): least squares on the greedy pick built an element
+    # of rank 3 here, not 2
+    rng = np.random.default_rng(3)
+    gens = [embed_complex(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+            for _ in range(2)]
+    p = random_similarity(rng, 16, 1e3)
+    pinv = np.linalg.inv(p)
+    alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
+    report = is_transitive(alg)
+    assert report.transitive
+    assert min_rank(alg, report.structure) == 2
 
 
 # --- riesz projection -----------------------------------------------------------
