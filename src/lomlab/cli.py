@@ -70,8 +70,7 @@ def _malformed(what):
 
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=float)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
-            "entries": [float(x) for x in a.reshape(-1)]}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a.reshape(-1).tolist()}
 
 
 def matrix_from_json(obj, what="matrix") -> np.ndarray:
@@ -86,7 +85,7 @@ def matrix_from_json(obj, what="matrix") -> np.ndarray:
 
 
 def vector_to_json(v) -> list:
-    return [float(x) for x in np.asarray(v).reshape(-1)]
+    return np.asarray(v, dtype=float).reshape(-1).tolist()
 
 
 def tolerance_from_json(obj) -> Tolerance:
@@ -107,7 +106,9 @@ def sequence_from_json(obj) -> DimSequence:
             seq = power_family(float(obj["floor_power"]), int(obj["horizon"]))
             head = obj.get("head", "inf")
             if head != "inf":
-                seq = DimSequence((int(head),) + seq.dims[1:])
+                values = seq.values.astype(seq.values.dtype if 0 <= int(head) < 2 ** 62 else object)
+                values[0] = int(head)
+                seq = DimSequence._from_array(values)
         else:
             raise ParseError("sequence spec needs 'dims' or 'floor_power'")
         shift = int(obj.get("shift", 0))

@@ -9,9 +9,9 @@ established (a working p, a witness pair violating every p up to the bound,
 or undecided with the search bounds).
 
 All partial sums are exact integer arithmetic, on int64 arrays while they fit
-and on arrays of Python ints past that; witnesses can be re-verified by
-independent summation.  ``mpmath`` is imported only by ``_floor_power_of``,
-for exponents whose exact ratio has a denominator above 64.
+and on arrays of Python ints past that, taken once per sequence; witnesses can
+be re-verified by independent summation.  ``mpmath`` is imported only by
+``_floor_power_of``, for exponents whose exact ratio has a denominator above 64.
 """
 
 from __future__ import annotations
@@ -40,56 +40,76 @@ __all__ = [
 INFINITY = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DimSequence:
     """Nonnegative integer dimensions indexed from 0; only index 0 may be INFINITY.
 
     Indices beyond the materialized horizon are unknown (not zero); indices
-    below 0 are implicitly zero.
+    below 0 are implicitly zero.  ``values`` keeps the dims as one read-only
+    exact integer array, an infinite head as 0 with ``infinite_head`` set: int64
+    while the total stays below 2**62, so every sum and difference of entries
+    fits too, and Python ints (``dtype=object``) past that.  ``dims`` is the
+    tuple of Python ints, with INFINITY for an infinite head, built when read.
     """
 
-    dims: tuple
+    values: np.ndarray
+    infinite_head: bool
 
-    def __post_init__(self):
-        if not self.dims:
+    def __init__(self, dims):
+        dims = tuple(dims)
+        if not dims:
             raise ValueError("a dimension sequence needs at least one entry")
-        dims = tuple(self.dims)
-        # common case, decided in C-level passes: an optional infinite head,
-        # then plain nonnegative ints, which need no cleaning
-        head = (INFINITY,) if dims[0] == INFINITY else ()
-        tail = dims[len(head):]
-        if set(map(type, tail)) == {int} and min(tail) >= 0:
-            object.__setattr__(self, "dims", head + tail)
-            return
-        cleaned = []
-        for idx, d in enumerate(dims):
-            if d == INFINITY:
-                if idx != 0:
+        head = bool(dims[0] == INFINITY)
+        tail = dims[head:]
+        if set(map(type, tail)) != {int}:  # clean to Python ints, exactly
+            for idx, d in enumerate(tail, head):
+                if d == INFINITY:
                     raise ValueError("INFINITY is only allowed at index 0")
-                cleaned.append(INFINITY)
-                continue
-            di = int(d)
-            if di != d or di < 0:
-                raise ValueError(f"dims[{idx}] = {d!r} is not a nonnegative integer")
-            cleaned.append(di)
-        object.__setattr__(self, "dims", tuple(cleaned))
+                if int(d) != d or d < 0:
+                    raise ValueError(f"dims[{idx}] = {d!r} is not a nonnegative integer")
+            tail = tuple(map(int, tail))
+        values = (0,) * head + tail
+        array = np.array(values)  # int64 when every entry fits
+        self._seal(array if array.dtype == np.int64 else np.array(values, dtype=object), head)
+
+    @classmethod
+    def _from_array(cls, values: np.ndarray, infinite_head: bool = False) -> DimSequence:
+        """Sequence of a fresh 1-D int64 array, or an object array of Python ints
+        whose total is 2**62 or more, which it takes over; entry 0 stands for the
+        infinite head when ``infinite_head``."""
+        seq = cls.__new__(cls)
+        seq._seal(values, infinite_head)
+        return seq
+
+    def _seal(self, values: np.ndarray, infinite_head: bool):
+        """The one storage path: check ``values``, pick the dtype, sum once."""
+        if values.min() < 0:
+            idx = int(np.argmax(values < 0))
+            raise ValueError(f"dims[{idx}] = {int(values[idx])!r} is not a nonnegative integer")
+        sums = np.cumsum(np.concatenate(([0], values)))
+        # the terms are nonnegative, so an int64 sum that wraps first reads negative
+        if sums.dtype != object and (sums[-1] >= 2 ** 62 or sums.min() < 0):
+            values = values.astype(object)
+            sums = np.cumsum(np.concatenate(([0], values)))
+        values.flags.writeable = sums.flags.writeable = False
+        for name, value in (("values", values), ("infinite_head", infinite_head), ("_sums", sums)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # rebuilt from the tuple, so a copy's arrays are read-only too
+        return DimSequence, (self.dims,)
+
+    @property
+    def dims(self) -> tuple:
+        return (INFINITY,) * self.infinite_head + tuple(self.values[self.infinite_head:].tolist())
 
     @property
     def horizon(self) -> int:
-        return len(self.dims) - 1
-
-    @property
-    def infinite_head(self) -> bool:
-        return self.dims[0] == INFINITY
+        return len(self.values) - 1
 
     def prefix_sums(self) -> np.ndarray:
-        """Exact integer prefix sums, from 0, with the infinite head counted as zero.
-
-        int64 while the total stays below 2**62, so every difference of two sums
-        fits too; Python ints (``dtype=object``) past that.
-        """
-        dims = (0, 0 if self.infinite_head else self.dims[0]) + self.dims[1:]
-        return np.cumsum(np.array(dims, dtype=np.int64 if sum(dims) < 2 ** 62 else object))
+        """Exact integer prefix sums, from 0, with the infinite head counted as
+        zero, in the dtype of ``values``: one read-only array, computed once."""
+        return self._sums
 
 
 def window_sum(seq: DimSequence, lo: int, hi: int):
@@ -104,10 +124,7 @@ def window_sum(seq: DimSequence, lo: int, hi: int):
         return 0
     if lo <= 0 and seq.infinite_head:
         return INFINITY
-    total = 0
-    for k in range(max(lo, 0), hi + 1):
-        total += seq.dims[k]
-    return total
+    return sum(seq.values[max(lo, 0):max(hi + 1, 0)].tolist())
 
 
 @dataclass(frozen=True)
@@ -132,7 +149,7 @@ class IsoVerdict:
 
 def range_weights(seq: DimSequence):
     """Diagonal model of the range-defining operator: [(2^-k, dims[k])]."""
-    return [(2.0 ** (-k), seq.dims[k]) for k in range(len(seq.dims))]
+    return [(2.0 ** (-k), d) for k, d in enumerate(seq.dims)]
 
 
 def _pair_bounds(h: DimSequence, k: DimSequence, p: int, m_max: int):
@@ -291,11 +308,9 @@ def power_family(t: float, horizon: int) -> DimSequence:
         raise ValueError("horizon must be at least 1")
     num, den = t.as_integer_ratio()
     if den == 1 and horizon ** num < 2 ** 62:  # floor(k^t) = k^num, exact in int64
-        dims = (np.arange(1, horizon + 1, dtype=np.int64) ** num).tolist()
-    else:
-        floor_power = _floor_power_of(t)
-        dims = [floor_power(k) for k in range(1, horizon + 1)]
-    return DimSequence((INFINITY, *dims))
+        return DimSequence._from_array(np.arange(horizon + 1, dtype=np.int64) ** num, True)
+    floor_power = _floor_power_of(t)
+    return DimSequence((INFINITY, *(floor_power(k) for k in range(1, horizon + 1))))
 
 
 def asymptotic_certificate(t: float, r: float, p: int, horizon: int) -> Optional[int]:
@@ -330,4 +345,5 @@ def shift_right(seq: DimSequence, s: int) -> DimSequence:
         raise ValueError("shift must be nonnegative")
     if seq.infinite_head and s > 0:
         raise ValueError("cannot shift a sequence with an infinite head")
-    return DimSequence((0,) * s + seq.dims)
+    return DimSequence._from_array(
+        np.concatenate((np.zeros(s, seq.values.dtype), seq.values)), seq.infinite_head)

@@ -1,5 +1,5 @@
-"""pytest-benchmark cases for the public ``envelope``, ``classify``, ``min_rank`` and
-``is_transitive``.
+"""pytest-benchmark cases for the public ``envelope``, ``classify``, ``min_rank``,
+``is_transitive`` and ``check_isomorphism``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -10,8 +10,11 @@ Inputs are two generators of M_m(C) on R^(2m) or M_m(H) on R^(4m), or of M_16(R)
 conjugated by a similarity of condition 100 (``default_rng(0)``).  The rejection case
 gives ``is_transitive`` the block upper-triangular algebra with diagonal blocks of n/2,
 conjugated the same way, so it times the commutant, the count and the witness.  Each
-case times three rounds of one call; every entry's ``extra_info`` records the CPU count
-and the BLAS thread setting.
+of these cases times three rounds of one call.  The ranges case parses both sequence
+specs of the shipped ``ranges_power23`` instance with ``sequence_from_json`` and checks
+them with ``check_isomorphism``; it takes well under a millisecond, so it times 100
+rounds of 10 calls.  Every entry's ``extra_info`` records the CPU count and the BLAS
+thread setting.
 """
 
 import os
@@ -21,8 +24,10 @@ import pytest
 
 from conftest import conjugated_reducible_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, envelope
+from lomlab.cli import sequence_from_json
 from lomlab.division import embed_complex, embed_quaternion
 from lomlab.engine import generate_algebra, is_transitive, min_rank
+from lomlab.ranges import check_isomorphism
 
 CASES = [("Complex", 16), ("Complex", 32), ("Quaternion", 16), ("Quaternion", 32),
          ("Real", 16)]
@@ -85,3 +90,15 @@ def test_is_transitive_rejects(benchmark, n):
     machine(benchmark)
     report = benchmark.pedantic(is_transitive, args=(alg,), rounds=3, iterations=1)
     assert not report.transitive and report.witness[1].shape == (n, n // 2)
+
+
+def test_ranges(benchmark, corpus):
+    spec = corpus["ranges_power23"]
+
+    def parse_and_check():
+        left, right = sequence_from_json(spec["left"]), sequence_from_json(spec["right"])
+        return check_isomorphism(left, right, spec["p_max"], spec["horizon"])
+
+    machine(benchmark)
+    verdict = benchmark.pedantic(parse_and_check, rounds=100, iterations=10, warmup_rounds=1)
+    assert verdict.verdict == "non_isomorphic"

@@ -16,6 +16,7 @@ from lomlab.cli import (
     matrix_to_json,
     run_instance,
     sequence_from_json,
+    vector_to_json,
 )
 from lomlab.construct import GroupRep, PCSOperator
 from lomlab.errors import ParseError
@@ -79,6 +80,23 @@ def test_run_instance_computes_each_residual_once(corpus, monkeypatch):
 def test_matrix_roundtrip():
     m = np.arange(6, dtype=float).reshape(2, 3)
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+
+@pytest.mark.parametrize("m", [
+    np.random.default_rng(0).standard_normal((4, 3)),
+    np.array([[0.0, -0.0], [-0.0, 1.0]]),
+    np.array([[5e-324, -5e-324, 2.2e-308 / 3]]),  # subnormals
+    np.arange(6).reshape(2, 3),  # integer dtype
+    np.array([[np.nan, np.inf, -np.inf]]),
+])
+def test_json_lists_match_the_per_element_floats(m):
+    # the reference: one float() per element, as the conversion used to be written
+    def bits(xs):
+        assert all(type(x) is float for x in xs)
+        return [x.hex() for x in xs]
+    assert bits(matrix_to_json(m)["entries"]) == \
+        bits([float(x) for x in np.asarray(m, dtype=float).reshape(-1)])
+    assert bits(vector_to_json(m)) == bits([float(x) for x in np.asarray(m).reshape(-1)])
 
 
 def test_matrix_shape_validation():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from itertools import accumulate
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lomlab import ranges
-from lomlab.errors import BadExponentError
+from lomlab.cli import sequence_from_json
+from lomlab.errors import BadExponentError, ParseError
 from lomlab.ranges import (
     INFINITY,
     DimSequence,
@@ -319,6 +321,128 @@ def test_check_isomorphism_on_python_ints_matches_scan_at_every_p(a, b, p_max, h
         assert sums.dtype == (object if big else np.int64)
         assert sums.tolist() == [0] + [sum(d for d in seq.dims[:i + 1] if d != INFINITY)
                                        for i in range(len(seq.dims))]
+
+
+def assert_holds(seq, dims):
+    """``seq`` is what the tuple constructor builds from ``dims``: the same dims (Python
+    ints after the head), prefix sums and dtype, int64 exactly while the total is below
+    2**62, with read-only arrays."""
+    ref = DimSequence(tuple(dims))
+    sums = list(accumulate((0 if d == INFINITY else d for d in dims), initial=0))
+    assert seq.dims == ref.dims == tuple(dims)
+    assert [type(d) for d in seq.dims[seq.infinite_head:]] == [int] * (len(dims) - seq.infinite_head)
+    assert seq.prefix_sums().tolist() == ref.prefix_sums().tolist() == sums
+    dtype = object if sums[-1] >= 2 ** 62 else np.int64
+    assert seq.values.dtype == seq.prefix_sums().dtype == ref.prefix_sums().dtype == dtype
+    assert not seq.values.flags.writeable and not seq.prefix_sums().flags.writeable
+
+
+# totals at 2**62 - 1 (int64) and 2**62 (object), and int64 sums that wrap: 2**63 to a
+# negative, 2**64 back to 0
+BOUNDARY_DIMS = [(2 ** 62 - 1,), (2 ** 62,), (INFINITY, 2 ** 61, 2 ** 61 - 1),
+                 (INFINITY, 2 ** 61, 2 ** 61), (0, 2 ** 63 - 1), (5, 2 ** 63),
+                 (2 ** 62, 2 ** 62), (2 ** 62,) * 4, (INFINITY,)]
+
+
+@pytest.mark.parametrize("dims", BOUNDARY_DIMS)
+def test_boundary_totals_pick_the_dtype_on_every_path(dims):
+    seq = DimSequence(dims)
+    assert_holds(seq, dims)
+    assert_holds(DimSequence(list(dims)), dims)
+    for s in (0, 1, 3) if not seq.infinite_head else (0,):
+        assert_holds(shift_right(seq, s), (0,) * s + dims)
+
+
+@given(huge_dim_sequences, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_tuple_and_shift_paths_match_the_tuple(seq, s):
+    assert_holds(seq, seq.dims)
+    if seq.infinite_head:
+        assert_holds(shift_right(seq, 0), seq.dims)
+    else:
+        assert_holds(shift_right(seq, s), (0,) * s + seq.dims)
+
+
+def total_crossing(num):
+    """The smallest horizon whose sum of k**num reaches 2**62."""
+    total, k = 0, 0
+    while total < 2 ** 62:
+        k += 1
+        total += k ** num
+    return k
+
+
+@given(st.integers(3, 6), st.integers(-2, 1), st.integers(1, 40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_power_family_integer_path_matches_the_tuple(num, offset, small, at_crossing):
+    # near the crossing the int64 powers sum to either side of 2**62; the guard keeps
+    # every power itself in int64
+    horizon = total_crossing(num) + offset if at_crossing else small
+    assert horizon ** num < 2 ** 62
+    assert_holds(power_family(float(num), horizon),
+                 (INFINITY,) + tuple(k ** num for k in range(1, horizon + 1)))
+
+
+@given(st.sampled_from([2.5, 2.25, 3.5, 2.2, 6.0]), st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_power_family_floor_path_matches_the_tuple(t, horizon):
+    if t == 6.0:  # past the int64 guard of k**6, to the floor path
+        horizon += int64_guard_horizon(6)
+    floor_power = ranges._floor_power_of(t)
+    assert_holds(power_family(t, horizon),
+                 (INFINITY,) + tuple(floor_power(k) for k in range(1, horizon + 1)))
+
+
+@given(st.sampled_from([2.0, 3.0, 2.5]), st.integers(1, 30),
+       st.one_of(st.integers(0, 5), st.integers(2 ** 62 - 5, 2 ** 64)), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_sequence_from_json_head_and_shift_match_the_tuple(t, horizon, head, shift):
+    tail = power_family(t, horizon).dims[1:]
+    spec = {"floor_power": t, "horizon": horizon, "head": head}
+    assert_holds(sequence_from_json(spec), (head,) + tail)
+    assert_holds(sequence_from_json({**spec, "shift": shift}), (0,) * shift + (head,) + tail)
+    assert_holds(sequence_from_json({"floor_power": t, "horizon": horizon}), (INFINITY,) + tail)
+
+
+def test_sequence_from_json_head_at_the_boundary_totals():
+    tail = (1, 4, 9)
+    for head in (2 ** 62 - 1 - 14, 2 ** 62 - 14, 2 ** 63, 2 ** 64):
+        spec = {"floor_power": 2.0, "horizon": 3, "head": head}
+        assert_holds(sequence_from_json(spec), (head,) + tail)
+        assert_holds(sequence_from_json({**spec, "shift": 2}), (0, 0, head) + tail)
+    for head in (-1, -2 ** 64):
+        with pytest.raises(ParseError, match=re.escape(f"dims[0] = {head} is not")):
+            sequence_from_json({"floor_power": 2.0, "horizon": 3, "head": head})
+
+
+@given(huge_dim_sequences)
+@settings(max_examples=100, deadline=None)
+def test_window_sum_matches_brute_on_every_window(seq):
+    for lo in range(-3, seq.horizon + 1):
+        for hi in range(-3, seq.horizon + 1):
+            assert window_sum(seq, lo, hi) == (0 if hi < lo else brute_window(seq, lo, hi))
+
+
+def test_prefix_sums_are_computed_once_and_read_only():
+    for built in (power_family(3.0, 50), DimSequence((0, 2 ** 63, 1)), shift_right(squares(9), 2)):
+        for seq in (built, pickle.loads(pickle.dumps(built))):
+            assert_holds(seq, built.dims)
+            assert seq.prefix_sums() is seq.prefix_sums()
+            for array in (seq.values, seq.prefix_sums()):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+
+
+def test_witness_violates_never_reads_prefix_sums(corpus, monkeypatch):
+    spec = corpus["ranges_power23"]
+    h, k = sequence_from_json(spec["left"]), sequence_from_json(spec["right"])
+    n, m, direction = check_isomorphism(h, k, spec["p_max"], spec["horizon"]).witness
+
+    def unread(self):
+        raise AssertionError("witness_violates read the prefix sums")
+
+    monkeypatch.setattr(DimSequence, "prefix_sums", unread)
+    assert all(witness_violates(h, k, n, m, p, direction) for p in range(spec["p_max"] + 1))
 
 
 def test_held_direction_with_no_pair_left_is_undecided():
