@@ -20,13 +20,12 @@ from .engine import (
     _end_d,
     commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
     d_frame,
-    d_independent_subfamily,
     d_linear_maps,
     is_transitive,
     min_rank,
     strict_interpolate,
 )
-from .errors import NoSolutionError, NotTransitiveError, RealTypeInputError
+from .errors import NotTransitiveError, RealTypeInputError
 from .numeric import DEFAULT_TOL, Tolerance, orthonormal_rows, solve_least_squares, svd
 
 __all__ = [
@@ -130,17 +129,14 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
                    trials: int = 25, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
 
-    Verification: for ``trials`` seeded random instances, n/k vectors independent
-    over the commutant must interpolate onto random targets exactly.  Each trial
-    is first interpolated by the closed-form D-linear map Y_D X_D^-1 projected onto
-    the algebra, on the first n/k vectors of its family of k*n, all trials in one
-    batch.  A pass proves those vectors D-independent: for D-dependent vectors
-    random targets are infeasible.  Only a trial whose residual misses the
-    threshold has its family reduced greedily to n/k D-independent vectors; it
-    fails if the family is short, and is otherwise solved again by least squares
-    with ``strict_interpolate``, whose residual decides it.  A failure is raised
-    for the first failing trial.  For k > 1 an infeasible witness pair is
-    produced as well.
+    Verification: for ``trials`` seeded random instances, n/k random vectors must
+    interpolate onto n/k random targets exactly.  Each trial is interpolated by the
+    closed-form D-linear map Y_D X_D^-1 projected onto the algebra, all trials in one
+    batch.  Only a trial whose residual misses the threshold is solved again by
+    ``strict_interpolate`` on the same vectors; its least-squares residual is the
+    minimum over the algebra, so it decides the trial and is what a failure reports.
+    A failure is raised for the first failing trial.  For k > 1 an infeasible
+    witness pair is produced as well.
 
     Returns ``(k, witness_or_None)``.
     """
@@ -150,24 +146,15 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     rng = np.random.default_rng(seed)
 
     n_targets = n // k
-    # One draw holds each trial's family and then its targets, in the stream
+    # One draw holds each trial's vectors and then its targets, in the stream
     # order of drawing them trial by trial.
-    draws = rng.standard_normal((trials, (k + 1) * n_targets, n))
-    families = draws[:, :k * n_targets]
-    targets = draws[:, k * n_targets:]
+    draws = rng.standard_normal((trials, 2 * n_targets, n))
+    xs, targets = draws[:, :n_targets], draws[:, n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
-    worst = _closed_form_residuals(algebra, units, families[:, :n_targets], targets,
-                                   tol) if trials else np.zeros(0)
+    worst = _closed_form_residuals(algebra, units, xs, targets, tol) if trials else np.zeros(0)
     hits = tol.interpolation_ok(worst, np.linalg.norm(targets, axis=2).max(axis=1))
-    for trial in np.flatnonzero(~hits):  # least squares on a greedy pick decides a miss
-        family, y = families[trial], targets[trial]
-        picked = d_independent_subfamily(family, units, tol, need=n_targets)
-        if len(picked) < n_targets:
-            raise NoSolutionError(
-                "could not extract a commutant-independent subfamily; "
-                "structure units inconsistent with the algebra"
-            )
-        strict_interpolate(algebra, list(zip(family[picked], y)), tol)
+    for trial in np.flatnonzero(~hits):  # least squares on the same vectors decides a miss
+        strict_interpolate(algebra, list(zip(xs[trial], targets[trial])), tol)
 
     witness = None
     if k > 1:
@@ -199,9 +186,10 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
 
     The commutant is computed and recognized once, by the transitivity
     certificate.  ``engine._end_d`` computes once whether A commutes with D's units
-    and X_D^-1 of one D-frame of m vectors: ``min_rank`` reads both, the envelope
-    End_D(V) (the double commutant A'' of a transitive A) is counted as n m, and the
-    containment flag is reported.
+    and X_D^-1 of one D-frame of m vectors: ``min_rank`` reads both and raises
+    NotTransitiveError unless A = End_D(V), the envelope End_D(V) (the double
+    commutant A'' of a transitive A) is counted as n m, and the containment flag,
+    True on every report returned, is reported.
     """
     report = _certified(algebra, tol, seed)
     n = algebra.ambient_dim

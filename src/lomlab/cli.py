@@ -4,7 +4,8 @@ range analyses, emit machine-readable reports.
 Instance files are self-describing JSON with explicit shapes, seeds and
 tolerances (defaults are written back into reports, never left implicit).
 Matrices are row-major ``{"rows": r, "cols": c, "entries": [...]}``;
-INFINITY in dimension sequences is spelled ``"inf"``.
+INFINITY in dimension sequences is spelled ``"inf"``.  An integer field takes
+an integral number (``2`` or ``2.0``, never ``2.5``).
 
 Exit codes: 0 success, 2 parse/validation error (any missing, mistyped or
 out-of-range field, ``suite --tol`` included), 3 mathematical precondition
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from contextlib import contextmanager
@@ -68,6 +70,17 @@ def _malformed(what):
         raise ParseError(f"malformed {what}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integral JSON number (``2``, or ``2.0``) as an int: ValueError for any other
+    float (``2.5``, NaN, Infinity), TypeError for what is not a number.  Read inside
+    ``_malformed``, both are a parse error."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+        return int(value)
+    return operator.index(value)
+
+
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=float)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a.reshape(-1).tolist()}
@@ -75,7 +88,7 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj, what="matrix") -> np.ndarray:
     with _malformed(what):
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
         entries = [float(x) for x in obj["entries"]]
     if rows < 1 or cols < 1 or len(entries) != rows * cols:
         raise ParseError(
@@ -101,17 +114,18 @@ def sequence_from_json(obj) -> DimSequence:
         raise ParseError("sequence spec must be an object")
     with _malformed("sequence spec"):
         if "dims" in obj:
-            seq = DimSequence(tuple(INFINITY if d == "inf" else int(d) for d in obj["dims"]))
+            seq = DimSequence(tuple(INFINITY if d == "inf" else _integer(d) for d in obj["dims"]))
         elif "floor_power" in obj:
-            seq = power_family(float(obj["floor_power"]), int(obj["horizon"]))
+            seq = power_family(float(obj["floor_power"]), _integer(obj["horizon"]))
             head = obj.get("head", "inf")
             if head != "inf":
-                values = seq.values.astype(seq.values.dtype if 0 <= int(head) < 2 ** 62 else object)
-                values[0] = int(head)
+                head = _integer(head)
+                values = seq.values.astype(seq.values.dtype if 0 <= head < 2 ** 62 else object)
+                values[0] = head
                 seq = DimSequence._from_array(values)
         else:
             raise ParseError("sequence spec needs 'dims' or 'floor_power'")
-        shift = int(obj.get("shift", 0))
+        shift = _integer(obj.get("shift", 0))
         if shift:
             seq = shift_right(seq, shift)
     return seq
@@ -147,8 +161,8 @@ def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("algebra payload"):
         gens = [matrix_from_json(g, "generator") for g in payload["generators"]]
         include_identity = bool(payload.get("include_identity", True))
-        ambient = int(payload["ambient_dim"])
-        trials = int(payload.get("density_trials", 25))
+        ambient = _integer(payload["ambient_dim"])
+        trials = _integer(payload.get("density_trials", 25))
         if trials < 0:
             raise ValueError(f"density_trials must be nonnegative, got {trials}")
     if any(g.shape != (ambient, ambient) for g in gens):
@@ -208,7 +222,7 @@ def _run_pair(payload: dict, tol: Tolerance, seed: int) -> dict:
 
 def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("rep payload"):
-        blocks = int(payload["blocks"])
+        blocks = _integer(payload["blocks"])
         twists = payload.get("twists")
         if twists is not None:
             twists = [matrix_from_json(t, "twist") for t in twists]
@@ -233,8 +247,8 @@ def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("ranges payload"):
         left = sequence_from_json(payload["left"])
         right = sequence_from_json(payload["right"])
-        p_max = int(payload["p_max"])
-        horizon = int(payload["horizon"])
+        p_max = _integer(payload["p_max"])
+        horizon = _integer(payload["horizon"])
         # check_isomorphism raises ValueError only on an out-of-range p_max or horizon
         verdict = check_isomorphism(left, right, p_max, horizon)
     result = {
@@ -277,7 +291,7 @@ def run_instance(payload: dict, seed_override=None, tol_override=None) -> dict:
     tol = tolerance_from_json(payload.get("tolerance")) if tol_override is None \
         else tol_override
     with _malformed("seed"):
-        seed = int(payload["seed"] if seed_override is None else seed_override)
+        seed = _integer(payload["seed"] if seed_override is None else seed_override)
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
     operation, runner = _RUNNERS[payload["kind"]]

@@ -12,7 +12,7 @@ Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
 kernel system has n k columns, k = 1 on most transitive algebras.  The commutant
 of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
 from one D-frame of seeded vectors, ``min_rank`` writes its probe down from the same
-frame once A = End_D(V) is checked, and a rejection's invariant subspace is a spun
+frame and raises unless A = End_D(V), and a rejection's invariant subspace is a spun
 vector (Norton's irreducibility test).  No n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
@@ -35,7 +35,6 @@ from .errors import (
     ClusterContainsZeroError,
     ClusterNotSeparatedError,
     NoConvergenceError,
-    NoSolutionError,
     NonFiniteError,
     NotAntiInvolutiveError,
     NotCommutativeError,
@@ -398,42 +397,25 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL, *,
     """Minimal rank of a nonzero element of a transitive algebra, cross-checked against
     the commutant dimension d.
 
-    Take any nonzero basis element T0 = U S V^T, z_1 = u_1 and x_1 = v_1 / s_1, so
-    T0 x_1 = z_1.  Once A = End_D(V) is checked (A's basis commutes with D's units and
-    dim A * d = n^2; ``_facts`` is ``_end_d``'s pair when ``classify`` has it), K is
-    written down: the D-linear map that sends the frame vector x_i of
-    ``_d_frame_inverse`` to x_1 and the other frame vectors to 0, i maximizing
-    ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
-    T0 (D x_1) = D z_1, of rank d.  Otherwise, the fallback: extract a D-basis
-    (z_1, ..., z_m) of T0's range, interpolate K in the algebra with T0 K z_1 = z_1 and
-    T0 K z_i = 0 by least squares, and rank T0 K T0.
+    A transitive algebra with commutant D is all of End_D(V): A's basis commutes with
+    D's units and dim A * d = n^2 (``_facts`` is ``_end_d``'s pair when ``classify`` has
+    it), or NotTransitiveError.  Take any nonzero basis element T0 = U S V^T, z_1 = u_1
+    and x_1 = v_1 / s_1, so T0 x_1 = z_1.  K is written down: the D-linear map that sends
+    the frame vector x_i of ``_d_frame_inverse`` to x_1 and the other frame vectors to 0,
+    i maximizing ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has
+    image T0 (D x_1) = D z_1, of rank d.
     """
     units = list(structure.units)
     t0 = next((b for b in algebra.basis if np.linalg.norm(b) > tol.abs_eps), None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
-    u, s, vt = svd(t0)
     expected = structure.commutant_dim
     contained, inv = _facts or _end_d(algebra, units, tol)
-    if contained and algebra.dim * expected == algebra.ambient_dim ** 2:
-        i = np.argmax(np.linalg.norm(inv[:, 0] @ u[:, 0], axis=1))
-        k = d_frame(vt[:1] / s[0], units).T @ inv[i, 0]
-    else:  # the fallback: least squares on a greedy D-basis of T0's range
-        range_basis = list(u[:, :tol.rank(s)].T)
-        picked = d_independent_subfamily(range_basis, units, tol)
-        zs = [range_basis[i] for i in picked]
-        if len(zs) * expected != len(range_basis):
-            raise NotTransitiveError(
-                "range of the probe element is not a module over the recognized commutant"
-            )
-        x1 = vt[picked[0]] / s[picked[0]]  # z_1 = u_i, so T0 x_1 = z_1 exactly
-        pairs = [(zs[0], x1)] + [(z, np.zeros(algebra.ambient_dim)) for z in zs[1:]]
-        try:
-            k = strict_interpolate(algebra, pairs, tol)
-        except NoSolutionError as exc:
-            raise NotTransitiveError(
-                f"interpolation for the minimal-rank reduction failed: {exc}"
-            ) from exc
+    if not contained or algebra.dim * expected != algebra.ambient_dim ** 2:
+        raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
+    u, s, vt = svd(t0)
+    i = np.argmax(np.linalg.norm(inv[:, 0] @ u[:, 0], axis=1))
+    k = d_frame(vt[:1] / s[0], units).T @ inv[i, 0]
     result = rank_of(t0 @ k @ t0, tol)
     if result != expected:
         raise NotTransitiveError(

@@ -120,7 +120,7 @@ def window_sum(seq: DimSequence, lo: int, hi: int):
     """
     if hi > seq.horizon:
         raise ValueError(f"window end {hi} beyond the materialized horizon {seq.horizon}")
-    if hi < lo:
+    if hi < max(lo, 0):  # an empty window, or one of negative indices only
         return 0
     if lo <= 0 and seq.infinite_head:
         return INFINITY

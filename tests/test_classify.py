@@ -36,7 +36,7 @@ from lomlab.engine import (
     strict_interpolate,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from lomlab.numeric import solve_least_squares
+from lomlab.numeric import DEFAULT_TOL, solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
@@ -172,18 +172,16 @@ def test_density_witness_infeasibility_is_real():
 
 
 def trial_by_trial_failure(algebra, structure, trials, seed=0):
-    """The first NoSolutionError of the density trials, each solved on its own
-    with ``strict_interpolate`` (the reference for the least-squares fallback
-    that decides a trial the closed form misses)."""
-    k, n = structure.commutant_dim, algebra.ambient_dim
+    """The first NoSolutionError of the density trials, each drawn as n/k vectors and
+    then n/k targets and solved on its own with ``strict_interpolate`` (the reference
+    for the least squares that decides a trial the closed form misses)."""
+    n = algebra.ambient_dim
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        family = rng.standard_normal((n, n))
-        picked = d_independent_subfamily(family, list(structure.units), need=n // k)
-        targets = rng.standard_normal((n // k, n))
+        xs, targets = np.split(rng.standard_normal((2 * (n // structure.commutant_dim), n)), 2)
         targets /= np.linalg.norm(targets, axis=1)[:, None]
         try:
-            strict_interpolate(algebra, list(zip(family[picked], targets)))
+            strict_interpolate(algebra, list(zip(xs, targets)))
         except NoSolutionError as exc:
             return exc
     return None
@@ -270,41 +268,43 @@ def test_density_zero_trials(corpus_algebras):
 
 
 def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypatch):
-    # the closed form is forced to miss trial 2, whose greedy pick then comes out short
+    # the closed form is forced to miss trials 2 and 4: least squares solves each on
+    # the vectors the closed form had, in trial order, and both pass
     alg, _ = corpus_algebras["complex_m2_plain"]
     closed_form_residuals = classify_module._closed_form_residuals
-    third, picked = [], []
+    given = []
 
-    def miss_third_trial(algebra, units, xs, ys, tol):
-        third.append(xs[2])
+    def miss_trials_2_and_4(algebra, units, xs, ys, tol):
+        given.append(xs)
         worst = closed_form_residuals(algebra, units, xs, ys, tol)
-        worst[2] = np.inf
+        worst[[2, 4]] = np.inf
         return worst
 
-    def short_third_pick(vectors, units, tol, need=None):
-        picked.append(vectors)
-        picks = d_independent_subfamily(vectors, units, tol, need)
-        return picks[:-1] if np.array_equal(vectors[:need], third[-1]) else picks
-
-    monkeypatch.setattr(classify_module, "_closed_form_residuals", miss_third_trial)
-    monkeypatch.setattr(classify_module, "d_independent_subfamily", short_third_pick)
+    monkeypatch.setattr(classify_module, "_closed_form_residuals", miss_trials_2_and_4)
     structure = frobenius_recognize(commutant(alg))
-    with pytest.raises(NoSolutionError, match="could not extract"):
-        density_degree(alg, structure, trials=5)
-    assert len(picked) == 1  # trials 0 and 1 passed in closed form
-    # with the wrong structure trial 0 misses too, and its least squares fails first
-    with pytest.raises(NoSolutionError, match="interpolation infeasible"):
+    with least_squares_fallbacks() as fallbacks:
+        assert density_degree(alg, structure, trials=5)[0] == 2
+    solved = [np.array([x for x, _ in call.args[1]]) for call in fallbacks.call_args_list]
+    assert len(solved) == 2
+    assert np.array_equal(solved[0], given[0][2]) and np.array_equal(solved[1], given[0][4])
+    # with the wrong structure every trial misses, and trial 0's least squares fails
+    # first: no later trial is solved
+    with least_squares_fallbacks() as fallbacks, \
+            pytest.raises(NoSolutionError, match="interpolation infeasible"):
         density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=5)
+    assert fallbacks.call_count == 1
 
 
 @pytest.mark.parametrize("name", ["full_m3_plain", "quat_m2_plain"])
 def test_density_hit_picks_nothing(corpus_algebras, name):
+    # a trial the closed form decides is neither picked from nor solved again
     alg, _ = corpus_algebras[name]
     structure = frobenius_recognize(commutant(alg))
-    with mock.patch.object(classify_module, "d_independent_subfamily",
-                           wraps=d_independent_subfamily) as picker:
+    with mock.patch.object(engine_module, "d_independent_subfamily",
+                           wraps=d_independent_subfamily) as picker, \
+            least_squares_fallbacks() as fallbacks:
         assert density_degree(alg, structure)[0] == structure.commutant_dim
-    assert picker.call_count == 0
+    assert picker.call_count == fallbacks.call_count == 0
 
 
 # --- envelope -------------------------------------------------------------------
@@ -386,18 +386,20 @@ def test_classify_report_consistency():
 
 def test_containment_fails_for_a_unit_the_input_does_not_commute_with(monkeypatch):
     # A lies in End_D(V) exactly when it commutes with D's units.  With the recognized
-    # unit of a conjugated M_n(C) moved by a similarity (a unit in general position,
-    # which min_rank and the density trials still get through) the check reports
-    # False; the real type has no unit and always contains its input
+    # unit of a conjugated M_n(C) moved by a similarity (a unit in general position)
+    # the check reports False, and classify raises rather than report a structure
+    # that is not A's commutant; the real type has no unit and always contains its input
     rng = np.random.default_rng(11)
     alg = planted_algebra(rng, "Complex", max_ambient=8, cond=10.0)
     report = is_transitive(alg)
     p = random_similarity(rng, alg.ambient_dim, 10.0)
     (w,) = report.structure.units
     moved = DivisionStructure(AlgebraType.COMPLEX, (p @ w @ np.linalg.inv(p),))
+    assert not engine_module._end_d(alg, moved.units, DEFAULT_TOL)[0]
     monkeypatch.setattr(classify_module, "_certified",
                         lambda *args: dataclasses.replace(report, structure=moved))
-    assert not classify(alg, density_trials=5).envelope_contains_input
+    with pytest.raises(NotTransitiveError, match="not End_D"):
+        classify(alg, density_trials=5)
     monkeypatch.undo()
     real = generate_algebra([rng.standard_normal((3, 3)) for _ in range(2)], True)
     assert classify(real, density_trials=5).envelope_contains_input

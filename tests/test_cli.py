@@ -113,6 +113,16 @@ def test_sequence_specs():
     assert fin.dims == (0, 0, 0, 1, 4, 9, 16)
     with pytest.raises(ParseError):
         sequence_from_json({"nope": 1})
+    # an integral field is an integral number, never truncated as int() would
+    assert sequence_from_json({"dims": [0.0, 2.0, 3]}).dims == (0, 2, 3)
+    fin = sequence_from_json({"floor_power": 2.0, "horizon": 4.0, "head": 0.0, "shift": 2.0})
+    assert fin.dims == (0, 0, 0, 1, 4, 9, 16)
+    for bad in ({"dims": [0, 2.5, 3.9]}, {"dims": [0, 1, float("inf")]}, {"dims": [0, "1"]},
+                {"floor_power": 2.0, "horizon": 4.9},
+                {"floor_power": 2.0, "horizon": 4, "head": 2.5},
+                {"floor_power": 2.0, "horizon": 4, "head": 0, "shift": 1.5}):
+        with pytest.raises(ParseError, match="sequence spec"):
+            sequence_from_json(bad)
 
 
 def test_load_rejects_implicit_defaults(tmp_path):
@@ -231,9 +241,24 @@ def rep_pair_without_n_basis(corpus):
     ("classify", lambda c: corpus_payload(c, "complex_m2_plain", seed=-1)),
     ("construct", lambda c: corpus_payload(c, "rep_twisted", twists=5)),
     ("classify", lambda c: corpus_payload(c, "complex_m2_plain", kind=["algebra"])),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", horizon=400.5)),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", p_max=2.5)),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted",
+                                        right=dict(c["ranges_shifted"]["right"], shift=3.5))),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted",
+                                        left={"dims": [0, 2.5, 3.9]})),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", ambient_dim=4.5)),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", density_trials=2.5)),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", seed=0.5)),
+    ("classify", lambda c: corpus_payload(
+        c, "complex_m2_plain",
+        generators=[dict(g, rows=4.5) for g in c["complex_m2_plain"]["generators"]])),
+    ("construct", lambda c: corpus_payload(c, "rep_untwisted", blocks=2.5)),
 ], ids=["horizon-1", "p_max-negative", "trials-not-a-number", "trials-negative",
         "seed-not-a-number", "pair-without-n_basis", "seed-negative", "twists-not-a-list",
-        "kind-not-a-string"])
+        "kind-not-a-string", "horizon-fraction", "p_max-fraction", "shift-fraction",
+        "dims-fraction", "ambient_dim-fraction", "trials-fraction", "seed-fraction",
+        "rows-fraction", "blocks-fraction"])
 def test_malformed_field_is_parse_error(corpus, tmp_path, capsys, command, build):
     path = write_json(tmp_path, "bad.json", build(corpus))
     assert main([command, path]) == EXIT_PARSE

@@ -690,18 +690,21 @@ def test_min_rank_examples():
     assert min_rank(alg_q, d_q) == 4
 
 
+def spy(name):
+    """Patch counting the calls to ``engine.<name>``: ``min_rank`` must take neither
+    the greedy pick nor the least squares."""
+    return mock.patch.object(engine, name, wraps=getattr(engine, name))
+
+
 def test_min_rank_rejects_mismatched_structure():
-    # feeding the wrong structure makes the module decomposition fail
+    # M_2(R) does not commute with J, so it is not End_C(R^2): min_rank raises
+    # before it picks or solves anything
     alg = generate_algebra(matrix_units(2), include_identity=True)
     j_structure = frobenius_recognize([np.eye(2), J2])
-    with pytest.raises(NotTransitiveError):
+    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver, \
+            pytest.raises(NotTransitiveError, match="not End_D"):
         min_rank(alg, j_structure)
-
-
-def spy(name):
-    """Patch counting the calls to ``engine.<name>``: the greedy pick and the least
-    squares are the steps only ``min_rank``'s fallback takes."""
-    return mock.patch.object(engine, name, wraps=getattr(engine, name))
+    assert picker.call_count == solver.call_count == 0
 
 
 # Two generators of M_3(R), M_2(C) on R^4 and M_2(H) on R^8.
@@ -724,28 +727,42 @@ def test_min_rank_of_a_full_algebra_writes_k_down(kind, d):
     assert picker.call_count == solver.call_count == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["Real", "Complex", "Quaternion"]), log_kappa=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_min_rank_is_d_in_closed_form_on_conjugated_planted_algebras(kind, log_kappa, seed):
+    # conjugated planted M_m(D) at kappa = 10^[0, 3]: the closed form alone gives d
+    rng = np.random.default_rng(seed)
+    alg = planted_algebra(rng, kind, max_ambient=12, cond=10.0 ** log_kappa)
+    report = is_transitive(alg)
+    assert report.transitive
+    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver:
+        assert min_rank(alg, report.structure) == report.structure.commutant_dim
+    assert picker.call_count == solver.call_count == 0
+
+
+def least_squares_min_rank(alg, structure):
+    """Reference for ``min_rank`` that needs no D-frame: rank T0 K T0 for K solved in A
+    by least squares with K z_1 = x_1 and K z_i = 0 over a greedy D-basis (z_1, ..., z_m)
+    of T0's range, T0 = U S V^T the first basis element and x_1 = v_1 / s_1."""
+    t0 = alg.basis[0]
+    u, s, vt = np.linalg.svd(t0)
+    range_basis = list(u[:, :DEFAULT_TOL.rank(s)].T)
+    zs = [range_basis[i] for i in d_independent_subfamily(range_basis, list(structure.units))]
+    pairs = [(zs[0], vt[0] / s[0])] + [(z, np.zeros(alg.ambient_dim)) for z in zs[1:]]
+    return rank_of(t0 @ strict_interpolate(alg, pairs) @ t0)
+
+
 @pytest.mark.parametrize("kind", ["Real", "Complex", "Quaternion"])
 @pytest.mark.parametrize("seed", range(4))
 def test_min_rank_closed_form_agrees_with_the_fallback(kind, seed):
-    # conjugated planted M_m(D) at kappa <= 100; facts that fail the End_D(V) check
-    # force the least-squares fallback
+    # conjugated planted M_m(D) at kappa <= 100, against the least squares on a greedy
+    # D-basis that min_rank once fell back to, now a reference kept in this test
     rng = np.random.default_rng(seed)
     alg = planted_algebra(rng, kind, max_ambient=12, cond=float(rng.uniform(1.0, 100.0)))
     structure = is_transitive(alg).structure
-    with spy("strict_interpolate") as solver:
-        closed = min_rank(alg, structure)
-        assert solver.call_count == 0
-        fallback = min_rank(alg, structure, _facts=(False, None))
-        assert solver.call_count == 1
-    assert closed == fallback == structure.commutant_dim
-
-
-def test_min_rank_mismatched_structure_takes_the_fallback():
-    # M_2(R) does not commute with J, so the closed form is not taken
-    alg = generate_algebra(matrix_units(2), include_identity=True)
-    with spy("d_independent_subfamily") as picker, pytest.raises(NotTransitiveError):
-        min_rank(alg, frobenius_recognize([np.eye(2), J2]))
-    assert picker.call_count == 1
+    assert min_rank(alg, structure) == least_squares_min_rank(alg, structure) \
+        == structure.commutant_dim
 
 
 def test_min_rank_of_a_conjugated_complex_algebra_at_kappa_1e3():

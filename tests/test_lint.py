@@ -10,7 +10,7 @@ certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
 instance field into a ``ParseError`` in one guard, ``cli._malformed``.
 ``scipy`` and ``mpmath`` are imported only inside the functions that call them,
-never at module level.
+never at module level, and every imported name is read or exported.
 """
 
 import ast
@@ -188,3 +188,27 @@ def test_scipy_and_mpmath_are_imported_only_where_called():
                 importers.add((name, function))
     assert importers == {("engine.py", "riesz_projection"), ("numeric.py", "svd"),
                          ("ranges.py", "_floor_power_of")}, importers
+
+
+def test_every_import_is_used_or_exported():
+    # a name imported into a module is read in it or listed in its __all__; a line
+    # marked `# noqa: F401` keeps a binding that only something outside reads
+    offenders = []
+    for name, tree in modules():
+        lines = (SRC / name).read_text(encoding="utf-8").splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used and bound not in exported \
+                        and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    offenders.append(f"{name}:{alias.lineno} imports {bound}")
+    assert not offenders, offenders

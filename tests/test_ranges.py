@@ -26,8 +26,8 @@ from lomlab.ranges import (
 
 
 def brute_window(seq, lo, hi):
-    """Independent oracle: direct summation over the dims tuple."""
-    if lo <= 0 and seq.dims[0] == INFINITY:
+    """Independent oracle: direct summation over the dims tuple, indices below 0 zero."""
+    if lo <= 0 <= hi and seq.dims[0] == INFINITY:
         return INFINITY
     return sum(seq.dims[k] for k in range(max(lo, 0), hi + 1))
 
