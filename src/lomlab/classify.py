@@ -4,7 +4,9 @@ Three independently computed integers must agree for any transitive algebra:
 the commutant dimension, the minimal rank of a nonzero element, and the
 density degree.  This module computes all three, produces the interpolation
 obstruction witness for the non-real types, and builds the enveloping
-commutant algebra that dominates the input.
+commutant algebra End_D(V) that contains the input.  ``engine.min_rank`` owns
+the check that a transitive A is all of End_D(V); ``classify`` counts the
+envelope as n^2 / d once that check has passed.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from .division import AlgebraType, DivisionStructure
 from .engine import (
     MatrixAlgebra,
-    _end_d,
     commutant,  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
+    commutes,
     d_frame,
     d_linear_maps,
     is_transitive,
@@ -61,7 +63,6 @@ class ClassificationReport:
     density_degree: int
     density_witness: Optional[DensityObstruction]
     envelope_dim: int
-    envelope_contains_input: bool
 
 
 def _certified(algebra: MatrixAlgebra, tol: Tolerance, seed: int = 0):
@@ -167,9 +168,10 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
     """Enveloping algebra: everything commuting with the structure units.
 
     For the complex type this is the commutant algebra of W; for the
-    quaternion type, of the unit triple.  The result contains the input and
-    has the same type.  For the real type the envelope is the full matrix
-    algebra, returned only when ``allow_real`` is set.
+    quaternion type, of the unit triple.  The result contains the input, which
+    must commute with the units (NotTransitiveError otherwise), and has the same
+    type.  For the real type the envelope is the full matrix algebra, returned
+    only when ``allow_real`` is set.
     """
     _certified(algebra, tol)
     n = algebra.ambient_dim
@@ -177,6 +179,8 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
         raise RealTypeInputError(
             "real-type envelope is the full matrix algebra; pass allow_real=True"
         )
+    if not commutes(algebra.basis, structure.units, tol):
+        raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
     return MatrixAlgebra(n, d_linear_maps(structure.units, n, tol), unital=True)
 
 
@@ -185,23 +189,19 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     """Full classification pipeline for a transitive algebra.
 
     The commutant is computed and recognized once, by the transitivity
-    certificate.  ``engine._end_d`` computes once whether A commutes with D's units
-    and X_D^-1 of one D-frame of m vectors: ``min_rank`` reads both and raises
-    NotTransitiveError unless A = End_D(V), the envelope End_D(V) (the double
-    commutant A'' of a transitive A) is counted as n m, and the containment flag,
-    True on every report returned, is reported.
+    certificate.  ``min_rank`` checks once that A = End_D(V), raising
+    NotTransitiveError otherwise, so the envelope End_D(V) (the double commutant
+    A'' of a transitive A) is counted as n^2 / d without building it.
     """
     report = _certified(algebra, tol, seed)
-    n = algebra.ambient_dim
-    contained, inv = facts = _end_d(algebra, report.structure.units, tol)
-    rank = min_rank(algebra, report.structure, tol, _facts=facts)
+    n, d = algebra.ambient_dim, report.structure.commutant_dim
+    rank = min_rank(algebra, report.structure, tol)
     k, witness = density_degree(algebra, report.structure, density_trials, tol, seed)
     return ClassificationReport(
         type=report.structure.type,
-        commutant_dim=report.structure.commutant_dim,
+        commutant_dim=d,
         min_rank=rank,
         density_degree=k,
         density_witness=witness,
-        envelope_dim=n * len(inv),
-        envelope_contains_input=contained,
+        envelope_dim=n * n // d,
     )

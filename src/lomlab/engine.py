@@ -12,8 +12,9 @@ Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
 kernel system has n k columns, k = 1 on most transitive algebras.  The commutant
 of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
 from one D-frame of seeded vectors, ``min_rank`` writes its probe down from the same
-frame and raises unless A = End_D(V), and a rejection's invariant subspace is a spun
-vector (Norton's irreducibility test).  No n^2 x n^2 system is built.
+frame and is the one check that A = End_D(V) (A commutes with D's units and dim A * d
+= n^2), and a rejection's invariant subspace is a spun vector (Norton's
+irreducibility test).  No n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -68,7 +69,6 @@ __all__ = [
     "strict_interpolate",
     "riesz_projection",
     "lift_idempotent",
-    "d_independent_subfamily",
     "d_frame",
     "d_linear_maps",
 ]
@@ -358,59 +358,26 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
     return t
 
 
-def d_independent_subfamily(vectors, units, tol: Tolerance = DEFAULT_TOL,
-                            need: Optional[int] = None) -> list:
-    """Greedy (input-order) selection of a subfamily independent over the commutant.
-
-    ``units`` are the anti-involutive structure units ([] for the real type);
-    the span grown is the module span {x, U x, ...} of the picked vectors, and
-    picking stops after ``need`` vectors.  The span grows by what each picked
-    vector's normalized orbit block adds to it (``orthonormal_rows(..., against=span)``).
-    Returns the list of picked indices.
-    """
-    vecs = [as_vector(x) for x in vectors]
-    picked, span = [], np.zeros((0, len(vecs[0]) if vecs else 0))
-    for idx, x in enumerate(vecs):
-        if len(picked) == need:
-            break
-        nrm = float(np.linalg.norm(x))
-        if nrm <= tol.abs_eps or tol.residual_ok(np.linalg.norm(x - span.T @ (span @ x)), nrm):
-            continue
-        picked.append(idx)
-        if len(picked) == need or idx == len(vecs) - 1:
-            break  # nothing reads the span past the last pick
-        block = np.stack([x] + [u @ x for u in units])
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-        span = np.vstack([span, orthonormal_rows(block, tol, against=span)])
-    return picked
-
-
-def _end_d(algebra: MatrixAlgebra, units, tol: Tolerance):
-    """Whether the algebra lies in End_D(V), its basis commuting with the units of D, and
-    X_D^-1 of ``_d_frame_inverse``: the two facts ``classify`` and ``min_rank`` share."""
-    return (commutes(algebra.basis, units, tol),
-            _d_frame_inverse(units, algebra.ambient_dim, tol)[1])
-
-
-def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL, *,
-             _facts=None) -> int:
+def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) -> int:
     """Minimal rank of a nonzero element of a transitive algebra, cross-checked against
     the commutant dimension d.
 
     A transitive algebra with commutant D is all of End_D(V): A's basis commutes with
-    D's units and dim A * d = n^2 (``_facts`` is ``_end_d``'s pair when ``classify`` has
-    it), or NotTransitiveError.  Take any nonzero basis element T0 = U S V^T, z_1 = u_1
-    and x_1 = v_1 / s_1, so T0 x_1 = z_1.  K is written down: the D-linear map that sends
-    the frame vector x_i of ``_d_frame_inverse`` to x_1 and the other frame vectors to 0,
-    i maximizing ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has
-    image T0 (D x_1) = D z_1, of rank d.
+    D's units and dim A * d = n^2, or NotTransitiveError.  This is the one check of
+    A = End_D(V); ``classify`` counts End_D(V) as n^2 / d once it has passed.  Take any
+    nonzero basis element T0 = U S V^T, z_1 = u_1 and x_1 = v_1 / s_1, so T0 x_1 = z_1.
+    K is written down: the D-linear map that sends the frame vector x_i of
+    ``_d_frame_inverse`` to x_1 and the other frame vectors to 0, i maximizing
+    ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
+    T0 (D x_1) = D z_1, of rank d.
     """
     units = list(structure.units)
     t0 = next((b for b in algebra.basis if np.linalg.norm(b) > tol.abs_eps), None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
     expected = structure.commutant_dim
-    contained, inv = _facts or _end_d(algebra, units, tol)
+    contained = commutes(algebra.basis, units, tol)
+    inv = _d_frame_inverse(units, algebra.ambient_dim, tol)[1]
     if not contained or algebra.dim * expected != algebra.ambient_dim ** 2:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
     u, s, vt = svd(t0)

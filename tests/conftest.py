@@ -68,6 +68,25 @@ def kronecker_commutant(mats, tol=DEFAULT_TOL):
     return nullspace_of(np.vstack(blocks), tol, _CONDITIONING_BUDGET).T.reshape(-1, n, n)
 
 
+def greedy_oracle(vectors, units, need=None):
+    """Reference greedy D-basis: the indices of the rows of ``vectors`` picked in order,
+    each one kept when it is not in the module span {x, U x, ...} of the picks so far
+    (``units`` are D's anti-involutive units), stopping after ``need`` picks.  The whole
+    span is re-orthonormalized after each pick."""
+    picked, span = [], np.zeros((0, vectors.shape[1]))
+    for idx, x in enumerate(vectors):
+        if len(picked) == need:
+            break
+        nrm = np.linalg.norm(x)
+        if nrm <= DEFAULT_TOL.abs_eps \
+                or DEFAULT_TOL.residual_ok(np.linalg.norm(x - span.T @ (span @ x)), nrm):
+            continue
+        picked.append(idx)
+        block = np.stack([o / np.linalg.norm(o) for o in [x] + [u @ x for u in units]])
+        span = orthonormal_rows(np.vstack([span, block]))
+    return picked
+
+
 def conjugated_reducible_algebra(kind, n, split, p):
     """The algebra p X p^-1 over X in: block upper-triangular matrices with diagonal
     blocks of sizes split and n - split ("triangular"), M_split + M_(n - split)

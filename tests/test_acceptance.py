@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import corpus_algebra, planted_generators, random_similarity
+from conftest import corpus_algebra, greedy_oracle, planted_generators, random_similarity
 from lomlab.classify import classify, classify_type, density_degree, envelope
 from lomlab.construct import (
     GROUP_ELEMENTS,
@@ -26,7 +26,6 @@ from lomlab.division import frobenius_recognize
 from lomlab.engine import (
     MatrixAlgebra,
     commutant,
-    d_independent_subfamily,
     generate_algebra,
     lift_idempotent,
     min_rank,
@@ -145,7 +144,7 @@ def test_criterion_04_density_obstruction(corpus_algebras):
         units = list(structure.units)
         for _ in range(25):
             family = rng.standard_normal((k * (n // k), n))
-            picked = d_independent_subfamily(family, units, need=n // k)
+            picked = greedy_oracle(family, units, need=n // k)
             targets = rng.standard_normal((n // k, n))
             targets /= np.linalg.norm(targets, axis=1)[:, None]
             pairs = [(family[i], y) for i, y in zip(picked, targets)]

@@ -29,14 +29,13 @@ from lomlab.engine import (
     _d_frame_inverse,
     commutant,
     commutes,
-    d_independent_subfamily,
     generate_algebra,
     is_transitive,
     min_rank,
     strict_interpolate,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
-from lomlab.numeric import DEFAULT_TOL, solve_least_squares
+from lomlab.numeric import solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
@@ -297,14 +296,12 @@ def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypa
 
 @pytest.mark.parametrize("name", ["full_m3_plain", "quat_m2_plain"])
 def test_density_hit_picks_nothing(corpus_algebras, name):
-    # a trial the closed form decides is neither picked from nor solved again
+    # a trial the closed form decides is not solved again
     alg, _ = corpus_algebras[name]
     structure = frobenius_recognize(commutant(alg))
-    with mock.patch.object(engine_module, "d_independent_subfamily",
-                           wraps=d_independent_subfamily) as picker, \
-            least_squares_fallbacks() as fallbacks:
+    with least_squares_fallbacks() as fallbacks:
         assert density_degree(alg, structure)[0] == structure.commutant_dim
-    assert picker.call_count == fallbacks.call_count == 0
+    assert fallbacks.call_count == 0
 
 
 # --- envelope -------------------------------------------------------------------
@@ -377,7 +374,6 @@ def test_classify_report_consistency():
         assert report.type.label == kind
         assert report.commutant_dim == report.min_rank == report.density_degree == k
         assert report.envelope_dim == alg.ambient_dim ** 2 // k
-        assert report.envelope_contains_input
         if k == 1:
             assert report.density_witness is None
         else:
@@ -387,32 +383,36 @@ def test_classify_report_consistency():
 def test_containment_fails_for_a_unit_the_input_does_not_commute_with(monkeypatch):
     # A lies in End_D(V) exactly when it commutes with D's units.  With the recognized
     # unit of a conjugated M_n(C) moved by a similarity (a unit in general position)
-    # the check reports False, and classify raises rather than report a structure
-    # that is not A's commutant; the real type has no unit and always contains its input
+    # A does not commute with it, and classify and envelope raise rather than report a
+    # structure that is not A's commutant (End_D(V) of the moved unit misses A's basis
+    # by 0.86); the real type has no unit and always contains its input
     rng = np.random.default_rng(11)
     alg = planted_algebra(rng, "Complex", max_ambient=8, cond=10.0)
     report = is_transitive(alg)
     p = random_similarity(rng, alg.ambient_dim, 10.0)
     (w,) = report.structure.units
     moved = DivisionStructure(AlgebraType.COMPLEX, (p @ w @ np.linalg.inv(p),))
-    assert not engine_module._end_d(alg, moved.units, DEFAULT_TOL)[0]
+    assert not commutes(alg.basis, moved.units)
     monkeypatch.setattr(classify_module, "_certified",
                         lambda *args: dataclasses.replace(report, structure=moved))
     with pytest.raises(NotTransitiveError, match="not End_D"):
         classify(alg, density_trials=5)
+    with pytest.raises(NotTransitiveError, match="not End_D"):
+        envelope(alg, moved)
     monkeypatch.undo()
     real = generate_algebra([rng.standard_normal((3, 3)) for _ in range(2)], True)
-    assert classify(real, density_trials=5).envelope_contains_input
+    assert commutes(real.basis, ())
+    assert classify(real, density_trials=5).envelope_dim == 9
 
 
 def test_classify_computes_containment_and_the_frame_once():
-    # min_rank, envelope_dim and envelope_contains_input share one containment check
-    # and one D-frame; the commutant certificate's own check is the other commutes call
+    # min_rank's one containment check and one D-frame certify A = End_D(V), which
+    # envelope_dim counts; the commutant certificate's own check is the other commutes call
     alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
     with mock.patch.object(engine_module, "_d_frame_inverse", wraps=_d_frame_inverse) as frame, \
             mock.patch.object(engine_module, "commutes", wraps=commutes) as check:
         report = classify(alg, density_trials=5)
-    assert report.envelope_contains_input and report.min_rank == 4
+    assert report.min_rank == 4 and report.envelope_dim * 4 == alg.ambient_dim ** 2
     assert frame.call_count == 1
     assert [call.args[0] is alg.basis for call in check.call_args_list].count(True) == 1
 

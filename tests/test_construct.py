@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_similarity
+from conftest import greedy_oracle, random_similarity
 from lomlab.classify import classify_type
 from lomlab.construct import (
     _CAYLEY,
@@ -22,7 +22,6 @@ from lomlab.construct import (
     twisted_rep,
 )
 from lomlab.division import AlgebraType, Quaternion, embed_quaternion, left_mult_matrix, quat_mul
-from lomlab.engine import d_independent_subfamily
 from lomlab.errors import (
     BadScheduleError,
     NotComplementaryError,
@@ -325,9 +324,7 @@ def test_batched_rep_matches_the_loops_bit_for_bit(seed):
 def quaternion_basis_of(columns, tau, tol_rank=1e-9):
     """Greedy quaternionic basis of a tau-invariant subspace given by columns."""
     units = [tau.pi["i"], tau.pi["j"], tau.pi["k"]]
-    vecs = [columns[:, j] for j in range(columns.shape[1])]
-    picked = d_independent_subfamily(vecs, units)
-    return [vecs[i] for i in picked]
+    return [columns[:, j] for j in greedy_oracle(columns.T, units)]
 
 
 def test_twisted_rep_swap_conjugacy():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     conjugated_reducible_algebra,
+    greedy_oracle,
     kronecker_commutant,
     planted_algebra,
     planted_generators,
@@ -26,7 +27,6 @@ from lomlab.division import (
 from lomlab.engine import (
     MatrixAlgebra,
     commutant,
-    d_independent_subfamily,
     d_linear_maps,
     generate_algebra,
     is_transitive,
@@ -45,7 +45,7 @@ from lomlab.errors import (
     NotTransitiveError,
     ShapeMismatchError,
 )
-from lomlab.numeric import DEFAULT_TOL, orthonormal_rows, rank_of
+from lomlab.numeric import DEFAULT_TOL, rank_of
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -578,98 +578,6 @@ def test_interpolate_minimum_norm_deterministic():
     assert np.array_equal(t1, t2)
 
 
-def test_d_independent_subfamily_stops_at_need(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orthonormal_rows(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "orthonormal_rows", counted)
-    vectors = np.random.default_rng(3).standard_normal((12, 6))
-    units = [embed_complex(np.zeros((3, 3)), np.eye(3))]
-    assert d_independent_subfamily(vectors, units, need=3) == [0, 1, 2]
-    # the span is grown after every pick but the last, which nothing reads
-    assert len(calls) == 2
-
-
-def test_d_independent_subfamily_need_zero_picks_nothing():
-    vectors = np.random.default_rng(0).standard_normal((4, 4))
-    assert d_independent_subfamily(vectors, []) == [0, 1, 2, 3]
-    assert d_independent_subfamily(vectors, [], need=0) == []
-
-
-def test_d_independent_subfamily_rejects_bad_vectors():
-    vectors = np.random.default_rng(0).standard_normal((3, 4))
-    vectors[2, 1] = np.nan
-    with pytest.raises(NonFiniteError):
-        d_independent_subfamily(vectors, [])
-    with pytest.raises(ShapeMismatchError):
-        d_independent_subfamily(np.zeros((3, 0)), [])
-    assert d_independent_subfamily([], []) == []
-
-
-def greedy_oracle(vectors, units, need=None):
-    """One family picked on its own, the whole span re-orthonormalized after each pick."""
-    picked, span = [], np.zeros((0, vectors.shape[1]))
-    for idx, x in enumerate(vectors):
-        if len(picked) == need:
-            break
-        nrm = np.linalg.norm(x)
-        if nrm <= DEFAULT_TOL.abs_eps \
-                or DEFAULT_TOL.residual_ok(np.linalg.norm(x - span.T @ (span @ x)), nrm):
-            continue
-        picked.append(idx)
-        block = np.stack([o / np.linalg.norm(o) for o in [x] + [u @ x for u in units]])
-        span = orthonormal_rows(np.vstack([span, block]))
-    return picked
-
-
-def structure_units(kind, blocks):
-    """The units of D acting on D^blocks, D = R, C or H."""
-    if kind == "Real":
-        return []
-    if kind == "Complex":
-        return [np.kron(np.eye(blocks), J2)]
-    return [np.kron(np.eye(blocks), left_mult_matrix(q)) for q in (I_Q, J_Q, Quaternion(0, 0, 0, 1))]
-
-
-@st.composite
-def planted_families(draw):
-    """Candidate families for conjugated R, C or H units, each slot a random, a zero
-    or a planted dependent vector (a combination of the module span so far)."""
-    kind = draw(st.sampled_from(["Real", "Complex", "Quaternion"]))
-    d = {"Real": 1, "Complex": 2, "Quaternion": 4}[kind]
-    n = d * draw(st.integers(1, 6 // d if d < 4 else 2))
-    cond = 10.0 ** draw(st.floats(0.0, 3.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = random_similarity(rng, n, cond)
-    pinv = np.linalg.inv(p)
-    units = [p @ u @ pinv for u in structure_units(kind, n // d)]
-    m = draw(st.integers(1, n + 3))
-    slots = draw(st.lists(st.lists(st.sampled_from(["random", "zero", "dependent"]),
-                                   min_size=m, max_size=m), min_size=1, max_size=4))
-    fams = np.zeros((len(slots), m, n))
-    for fam, kinds in zip(fams, slots):
-        for idx, slot in enumerate(kinds):
-            if slot == "random":
-                fam[idx] = rng.standard_normal(n)
-            elif slot == "dependent":
-                module = [u @ x for x in fam[:idx] for u in [np.eye(n)] + units]
-                if module:
-                    fam[idx] = rng.standard_normal(len(module)) @ np.array(module)
-    need = draw(st.none() | st.integers(1, m))
-    return fams, units, need
-
-
-@settings(max_examples=100, deadline=None)
-@given(planted_families())
-def test_d_independent_subfamily_matches_greedy_oracle(case):
-    fams, units, need = case
-    for fam in fams:
-        assert d_independent_subfamily(fam, units, need=need) == greedy_oracle(fam, units, need)
-
-
 # --- min_rank ------------------------------------------------------------------
 
 def test_min_rank_examples():
@@ -691,20 +599,20 @@ def test_min_rank_examples():
 
 
 def spy(name):
-    """Patch counting the calls to ``engine.<name>``: ``min_rank`` must take neither
-    the greedy pick nor the least squares."""
+    """Patch counting the calls to ``engine.<name>``: ``min_rank`` must not take the
+    least squares."""
     return mock.patch.object(engine, name, wraps=getattr(engine, name))
 
 
 def test_min_rank_rejects_mismatched_structure():
     # M_2(R) does not commute with J, so it is not End_C(R^2): min_rank raises
-    # before it picks or solves anything
+    # before it solves anything
     alg = generate_algebra(matrix_units(2), include_identity=True)
     j_structure = frobenius_recognize([np.eye(2), J2])
-    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver, \
+    with spy("strict_interpolate") as solver, \
             pytest.raises(NotTransitiveError, match="not End_D"):
         min_rank(alg, j_structure)
-    assert picker.call_count == solver.call_count == 0
+    assert solver.call_count == 0
 
 
 # Two generators of M_3(R), M_2(C) on R^4 and M_2(H) on R^8.
@@ -719,12 +627,12 @@ FULL_GENERATORS = {
 
 @pytest.mark.parametrize("kind, d", [("Real", 1), ("Complex", 2), ("Quaternion", 4)])
 def test_min_rank_of_a_full_algebra_writes_k_down(kind, d):
-    # A = End_D(V) is checked, so K is the D-linear map of the frame: no pick, no solve
+    # A = End_D(V) is checked, so K is the D-linear map of the frame: no solve
     alg = generate_algebra(FULL_GENERATORS[kind](np.random.default_rng(5)), True)
     structure = is_transitive(alg).structure
-    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver:
+    with spy("strict_interpolate") as solver:
         assert min_rank(alg, structure) == d
-    assert picker.call_count == solver.call_count == 0
+    assert solver.call_count == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -736,9 +644,9 @@ def test_min_rank_is_d_in_closed_form_on_conjugated_planted_algebras(kind, log_k
     alg = planted_algebra(rng, kind, max_ambient=12, cond=10.0 ** log_kappa)
     report = is_transitive(alg)
     assert report.transitive
-    with spy("d_independent_subfamily") as picker, spy("strict_interpolate") as solver:
+    with spy("strict_interpolate") as solver:
         assert min_rank(alg, report.structure) == report.structure.commutant_dim
-    assert picker.call_count == solver.call_count == 0
+    assert solver.call_count == 0
 
 
 def least_squares_min_rank(alg, structure):
@@ -747,8 +655,8 @@ def least_squares_min_rank(alg, structure):
     of T0's range, T0 = U S V^T the first basis element and x_1 = v_1 / s_1."""
     t0 = alg.basis[0]
     u, s, vt = np.linalg.svd(t0)
-    range_basis = list(u[:, :DEFAULT_TOL.rank(s)].T)
-    zs = [range_basis[i] for i in d_independent_subfamily(range_basis, list(structure.units))]
+    range_basis = u[:, :DEFAULT_TOL.rank(s)].T
+    zs = [range_basis[i] for i in greedy_oracle(range_basis, list(structure.units))]
     pairs = [(zs[0], vt[0] / s[0])] + [(z, np.zeros(alg.ambient_dim)) for z in zs[1:]]
     return rank_of(t0 @ strict_interpolate(alg, pairs) @ t0)
 

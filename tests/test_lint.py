@@ -10,7 +10,8 @@ certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
 instance field into a ``ParseError`` in one guard, ``cli._malformed``.
 ``scipy`` and ``mpmath`` are imported only inside the functions that call them,
-never at module level, and every imported name is read or exported.
+never at module level, and every imported name is read or exported.  No function
+takes a private (underscore) parameter.
 """
 
 import ast
@@ -211,4 +212,19 @@ def test_every_import_is_used_or_exported():
                 if bound not in used and bound not in exported \
                         and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{name}:{alias.lineno} imports {bound}")
+    assert not offenders, offenders
+
+
+def test_no_function_takes_a_private_parameter():
+    # a parameter named _x is private plumbing in a signature: callers see it, and a
+    # fact one caller hands another belongs in the function that computes it
+    offenders = [
+        f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({arg.arg}=)"
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        + [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+        if arg.arg.startswith("_")
+    ]
     assert not offenders, offenders
