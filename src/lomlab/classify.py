@@ -4,9 +4,9 @@ Three independently computed integers must agree for any transitive algebra:
 the commutant dimension, the minimal rank of a nonzero element, and the
 density degree.  This module computes all three, produces the interpolation
 obstruction witness for the non-real types, and builds the enveloping
-commutant algebra End_D(V) that contains the input.  ``engine.min_rank`` owns
-the check that a transitive A is all of End_D(V); ``classify`` counts the
-envelope as n^2 / d once that check has passed.
+commutant algebra End_D(V) that contains the input.  A transitive A is all of
+End_D(V): ``engine.min_rank`` checks it for ``classify``, which then counts the
+envelope as n^2 / d, and ``envelope`` checks it the same way before it builds one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .engine import (
     min_rank,
     strict_interpolate,
 )
-from .errors import NotTransitiveError, RealTypeInputError
+from .errors import NotTransitiveError
 from .numeric import DEFAULT_TOL, Tolerance, orthonormal_rows, solve_least_squares, svd
 
 __all__ = [
@@ -164,22 +164,19 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
-             tol: Tolerance = DEFAULT_TOL, allow_real: bool = False) -> MatrixAlgebra:
-    """Enveloping algebra: everything commuting with the structure units.
+             tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
+    """Enveloping algebra End_D(V): everything commuting with the structure units.
 
-    For the complex type this is the commutant algebra of W; for the
-    quaternion type, of the unit triple.  The result contains the input, which
-    must commute with the units (NotTransitiveError otherwise), and has the same
-    type.  For the real type the envelope is the full matrix algebra, returned
-    only when ``allow_real`` is set.
+    The input must be End_D(V) itself: its basis commutes with D's units and
+    dim A * d = n^2, or NotTransitiveError (without a witness; ``is_transitive``
+    finds one).  With the D-frame check of ``d_linear_maps`` this certifies that A
+    is transitive and contained in the result, so no commutant is computed.  For the
+    complex type this is the commutant algebra of W, for the quaternion type of the
+    unit triple, and for the real type the full matrix algebra M_n(R).
     """
-    _certified(algebra, tol)
     n = algebra.ambient_dim
-    if structure.type is AlgebraType.REAL and not allow_real:
-        raise RealTypeInputError(
-            "real-type envelope is the full matrix algebra; pass allow_real=True"
-        )
-    if not commutes(algebra.basis, structure.units, tol):
+    if not commutes(algebra.basis, structure.units, tol) \
+            or algebra.dim * structure.commutant_dim != n * n:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
     return MatrixAlgebra(n, d_linear_maps(structure.units, n, tol), unital=True)
 

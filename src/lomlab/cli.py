@@ -209,7 +209,7 @@ def _run_pcs_like(pcs, tol: Tolerance) -> dict:
 def _run_pcs(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("pcs payload"):
         schedule = [float(s) for s in payload["schedule"]]
-    return _run_pcs_like(build_pcs(len(schedule), schedule), tol)
+    return _run_pcs_like(build_pcs(schedule), tol)
 
 
 def _run_pair(payload: dict, tol: Tolerance, seed: int) -> dict:

@@ -83,7 +83,7 @@ _CAYLEY = np.array([[GROUP_ELEMENTS.index(group_mult(a, b)) for b in GROUP_ELEME
                     for a in GROUP_ELEMENTS])
 
 
-# The automorphism q -> j q j^{-1}: fixes +-1 and +-j, negates +-i and +-k.
+# Conjugation by j, q -> j q j^{-1}: fixes +-1 and +-j, negates +-i and +-k.
 CONJUGATION_BY_J = {
     "1": "1", "-1": "-1",
     "i": "-i", "-i": "i",
@@ -102,7 +102,6 @@ class PCSOperator:
     """
 
     matrix: np.ndarray
-    block_dims: tuple
     norm_schedule: tuple
     cond: Optional[float] = None
 
@@ -196,23 +195,20 @@ class GenericPair:
         return proj_m, proj_n, float(svals[0] / svals[-1])
 
 
-def build_pcs(block_count: int, norm_schedule) -> PCSOperator:
-    """Direct sum of 2x2 blocks [[0, -s], [1/s, 0]]; each squares to -I and the
-    m-th block has spectral norm s_m."""
+def build_pcs(norm_schedule) -> PCSOperator:
+    """Direct sum of 2x2 blocks [[0, -s], [1/s, 0]], one per schedule entry s_m >= 1;
+    each squares to -I and the m-th block has spectral norm s_m."""
     schedule = [float(s) for s in norm_schedule]
-    if len(schedule) != block_count:
-        raise BadScheduleError(
-            f"schedule length {len(schedule)} != block count {block_count}"
-        )
+    if not schedule:
+        raise BadScheduleError("at least one block is required")
     if any(s < 1.0 for s in schedule):
         raise BadScheduleError("schedule entries must be >= 1")
-    n = 2 * block_count
+    n = 2 * len(schedule)
     s = np.zeros((n, n))
     for m, sm in enumerate(schedule):
         s[2 * m, 2 * m + 1] = -sm
         s[2 * m + 1, 2 * m] = 1.0 / sm
-    return PCSOperator(matrix=s, block_dims=(2,) * block_count,
-                       norm_schedule=tuple(schedule))
+    return PCSOperator(matrix=s, norm_schedule=tuple(schedule))
 
 
 def t_vf(v, f, pcs: PCSOperator) -> np.ndarray:
@@ -262,8 +258,7 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     s = u @ proj_m - u @ proj_n
     svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
-    return PCSOperator(matrix=s, block_dims=(2,) * (n // 2),
-                       norm_schedule=schedule, cond=cond)
+    return PCSOperator(matrix=s, norm_schedule=schedule, cond=cond)
 
 
 def build_quaternion_rep(m: int, twists=None) -> GroupRep:
@@ -289,20 +284,17 @@ def build_quaternion_rep(m: int, twists=None) -> GroupRep:
     return GroupRep(n=4 * m, pi=dict(zip(GROUP_ELEMENTS, pis.reshape(-1, 4 * m, 4 * m))))
 
 
-def twisted_rep(pair: GenericPair, tau: GroupRep, automorphism=None,
-                tol: Tolerance = DEFAULT_TOL) -> GroupRep:
-    """Representation acting as tau(g) on M and tau(alpha(g)) on N.
-
-    ``alpha`` defaults to conjugation by j (so alpha(i) = -i); both subspaces
-    of the pair must be invariant under every tau(g).
+def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) -> GroupRep:
+    """Representation acting as tau(g) on M and tau(alpha(g)) on N, alpha the
+    conjugation by j (``CONJUGATION_BY_J``, so alpha(i) = -i); both subspaces of
+    the pair must be invariant under every tau(g).
     """
-    alpha = CONJUGATION_BY_J if automorphism is None else dict(automorphism)
     n = tau.n
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
     _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.stack(), tol)
-    pi = {g: tau.pi[g] @ proj_m + tau.pi[alpha[g]] @ proj_n for g in GROUP_ELEMENTS}
+    pi = {g: tau.pi[g] @ proj_m + tau.pi[CONJUGATION_BY_J[g]] @ proj_n for g in GROUP_ELEMENTS}
     return GroupRep(n=n, pi=pi)
 
 

@@ -142,12 +142,12 @@ class MatrixAlgebra:
 @dataclass(frozen=True)
 class TransitivityReport:
     """Outcome of the Burnside count, with the recognized ``structure`` of the commutant
-    (None: no division algebra).  When not ``transitive``, ``witness`` is
-    None or ``(x, W)``, W orthonormal columns of a leak-checked proper invariant subspace."""
+    (None: no division algebra).  When not ``transitive``, ``witness`` is None or
+    ``(x, W)``, W orthonormal columns of a leak-checked proper invariant subspace; the
+    seed that steered its search is the caller's."""
 
     transitive: bool
     witness: Optional[tuple] = None
-    seed: int = 0
     structure: Optional[DivisionStructure] = None
 
 
@@ -323,8 +323,8 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
     except (BadDimensionError, NotAntiInvolutiveError):
         structure = None
     if structure is not None and algebra.dim * structure.commutant_dim == algebra.ambient_dim ** 2:
-        return TransitivityReport(True, None, seed, structure)
-    return TransitivityReport(False, _witness(algebra, tol, seed), seed, structure)
+        return TransitivityReport(True, None, structure)
+    return TransitivityReport(False, _witness(algebra, tol, seed), structure)
 
 
 def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "NotInvariantError",
     "SingularSystemError",
     "BadExponentError",
-    "RealTypeInputError",
     "ParseError",
 ]
 
@@ -84,7 +83,7 @@ class NoConvergenceError(LomlabError):
 
 
 class BadScheduleError(LomlabError):
-    """A block norm schedule entry is below 1."""
+    """A block norm schedule is empty or has an entry below 1."""
 
 
 class NotComplementaryError(LomlabError):
@@ -105,10 +104,6 @@ class SingularSystemError(LomlabError):
 
 class BadExponentError(LomlabError):
     """A growth exponent is outside its admissible range."""
-
-
-class RealTypeInputError(LomlabError):
-    """Envelope requested for a real-type algebra without allow_real."""
 
 
 class ParseError(LomlabError):

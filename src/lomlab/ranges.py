@@ -163,17 +163,14 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: np.ndarray, pk: np.
     """First pair (n, m) with sum_{n..m} h > sum_{n-p..m+p} k, else None.
 
     ``ph`` and ``pk`` are the prefix sums of h and k.  Only pairs whose windows
-    stay within both materialized horizons are examined.  Returns
-    ``(found_pair_or_None, checked_any)``.
+    stay within both materialized horizons are examined.
     """
     m_top, lo = _pair_bounds(h, k, p, m_max)
-    if m_top < 1:
-        return None, False
+    if m_top <= lo:  # lo = 0 unless k's head is infinite
+        return None
     if h.infinite_head and not k.infinite_head:
         # n = 0 makes the left window infinite while the right stays finite.
-        return (0, 1), True
-    if m_top <= lo:
-        return None, False
+        return 0, 1
 
     # A finite pair n < m violates when ph[m+1] - pk[m+p+1] exceeds
     # D(n) = ph[n] - pk[max(n-p, 0)], so the running minimum of D over n < m
@@ -185,29 +182,27 @@ def _direction_violation(h: DimSequence, k: DimSequence, ph: np.ndarray, pk: np.
     ends = ph[lo + 2:m_top + 2] - pk[lo + p + 2:m_top + p + 2]  # m = lo+1..m_top
     bad = np.flatnonzero(ends > np.minimum.accumulate(d))
     if not len(bad):
-        return None, True
+        return None
     i = int(bad[0])
-    return (lo + int(np.argmin(d[:i + 1])), lo + 1 + i), True
+    return lo + int(np.argmin(d[:i + 1])), lo + 1 + i
 
 
 def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) -> IsoVerdict:
     """Compare two dimension sequences over all window pairs up to ``horizon``.
 
-    Searches for the smallest p in 0..p_max for which both directional
-    inequalities hold on every checkable pair; failing that, produces a single
-    witness pair violating one direction for every p <= p_max (a window
-    violating at p_max violates at all smaller p, since the dominating window
-    only shrinks).  If neither can be established within the materialized
-    horizons, the verdict is undecided.
+    The verdict is "isomorphic" at the smallest p in 0..p_max at which both
+    directional inequalities hold on every checkable pair, "non_isomorphic" with
+    one witness pair violating a direction for every p <= p_max, and "undecided"
+    when neither can be established within the materialized horizons.
 
-    A direction that holds at p holds at every larger p: the checkable pairs
-    at p + 1 are a subset of those at p, the dominating window at p + 1 contains
-    the one at p and every dim is nonnegative, and the early (0, 1) violation
-    does not depend on p.  So both directions are scanned at p_max first; one
-    that fails there fails at every p, and that scan gives the witness.  Only
-    when both hold at p_max are the smaller shifts searched upward, and a
-    direction that holds is not scanned again: whether any finite pair is still
-    checkable is read off the pair bounds.
+    A direction that holds at p holds at every larger p: the checkable pairs at
+    p + 1 are a subset of those at p, the dominating window at p + 1 contains the
+    one at p and every dim is nonnegative, and the early (0, 1) violation does
+    not depend on p.  So both directions are scanned at p_max first, and a
+    failure there is the witness.  Otherwise each direction's smallest holding
+    shift is found by scanning p = 0, 1, ...; both hold from the larger of the two
+    on, which is the verdict if a finite pair of each direction is still
+    checkable there (read off the pair bounds, which only shrink with p).
     """
     if horizon < 2:
         raise ValueError("horizon must be at least 2")
@@ -215,30 +210,18 @@ def check_isomorphism(h: DimSequence, k: DimSequence, p_max: int, horizon: int) 
         raise ValueError("p_max must be nonnegative")
     ph = h.prefix_sums()
     pk = k.prefix_sums()
-    at_p_max = (_direction_violation(h, k, ph, pk, p_max, horizon),
-                _direction_violation(k, h, pk, ph, p_max, horizon))
-    for (fail, _), direction in zip(at_p_max, ("left_exceeds_right", "right_exceeds_left")):
+    directions = ((h, k, ph, pk, "left_exceeds_right"), (k, h, pk, ph, "right_exceeds_left"))
+    for big, small, pb, ps, direction in directions:
+        fail = _direction_violation(big, small, pb, ps, p_max, horizon)
         if fail is not None:
             return IsoVerdict("non_isomorphic", witness=fail + (direction,),
                               p_max=p_max, horizon=horizon)
-
-    def at_shift(big, small, pb, ps, p, last):
-        """``_direction_violation``'s result at p, read off the bounds once ``last``,
-        the result at p - 1, held."""
-        if last is not None and last[0] is None:
-            m_top, lo = _pair_bounds(big, small, p, horizon)
-            return None, m_top > lo
-        return _direction_violation(big, small, pb, ps, p, horizon)
-
-    # both hold at p_max: search the smaller shifts upward
-    hk = kh = None
-    for p in range(p_max):
-        hk = at_shift(h, k, ph, pk, p, hk)
-        kh = at_shift(k, h, pk, ph, p, kh)
-        if hk == kh == (None, True):
-            return IsoVerdict("isomorphic", p=p, p_max=p_max, horizon=horizon)
-    if at_p_max == ((None, True), (None, True)):
-        return IsoVerdict("isomorphic", p=p_max, p_max=p_max, horizon=horizon)
+    p = max(next((q for q in range(p_max)
+                  if _direction_violation(big, small, pb, ps, q, horizon) is None), p_max)
+            for big, small, pb, ps, _ in directions)
+    if all(m_top > lo for m_top, lo in (_pair_bounds(big, small, p, horizon)
+                                        for big, small, *_ in directions)):
+        return IsoVerdict("isomorphic", p=p, p_max=p_max, horizon=horizon)
     return IsoVerdict("undecided", p_max=p_max, horizon=horizon)
 
 

@@ -62,8 +62,7 @@ def machine(benchmark):
 def test_envelope(benchmark, kind, n):
     alg, structure = planted(kind, n)
     machine(benchmark)
-    env = benchmark.pedantic(envelope, args=(alg, structure),
-                             kwargs={"allow_real": True}, rounds=3, iterations=1)
+    env = benchmark.pedantic(envelope, args=(alg, structure), rounds=3, iterations=1)
     assert env.dim * structure.commutant_dim == n * n
 
 

@@ -4,13 +4,11 @@ tolerance and prints a single PASS/FAIL line.
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
-from conftest import corpus_algebra, greedy_oracle, planted_generators, random_similarity
+from conftest import greedy_oracle, planted_generators, random_similarity
 from lomlab.classify import classify, classify_type, density_degree, envelope
 from lomlab.construct import (
     GROUP_ELEMENTS,
@@ -69,7 +67,7 @@ def corpus_pcs(corpus):
         if payload["kind"] != "pcs":
             continue
         schedule = [float(s) for s in payload["schedule"]]
-        out[name] = build_pcs(len(schedule), schedule)
+        out[name] = build_pcs(schedule)
     return out
 
 

@@ -31,10 +31,9 @@ from lomlab.engine import (
     commutes,
     generate_algebra,
     is_transitive,
-    min_rank,
     strict_interpolate,
 )
-from lomlab.errors import NoSolutionError, NotTransitiveError, RealTypeInputError
+from lomlab.errors import NoSolutionError, NotTransitiveError
 from lomlab.numeric import solve_least_squares
 
 # The module, not the function of the same name that the package exports.
@@ -334,15 +333,25 @@ def test_envelope_quaternion_left_regular():
     assert classify_type(env) is AlgebraType.QUATERNION
 
 
-def test_envelope_real_needs_flag():
+def test_envelope_of_real_type_is_the_full_matrix_algebra():
     rng = np.random.default_rng(7)
     alg = generate_algebra([rng.standard_normal((3, 3)) for _ in range(2)],
                            include_identity=True)
     structure = frobenius_recognize(commutant(alg))
-    with pytest.raises(RealTypeInputError):
-        envelope(alg, structure)
-    env = envelope(alg, structure, allow_real=True)
-    assert env.dim == 9
+    env = envelope(alg, structure)
+    assert env.dim == 9  # M_3(R)
+
+
+def test_envelope_computes_no_commutant(corpus_algebras):
+    # commutes and the count dim A * d = n^2 certify A = End_D(V) for the structure the
+    # caller holds, so envelope neither certifies transitivity nor solves a commutant
+    alg, _ = corpus_algebras["complex_m2_plain"]
+    structure = is_transitive(alg).structure
+    with mock.patch.object(classify_module, "is_transitive", wraps=is_transitive) as certify, \
+            mock.patch.object(engine_module, "commutant", wraps=commutant) as solve:
+        env = envelope(alg, structure)
+    assert env.dim == alg.dim
+    assert certify.call_count == solve.call_count == 0
 
 
 def test_envelope_properties():

@@ -336,18 +336,22 @@ def test_suite_goes_on_past_a_failing_instance(corpus, monkeypatch, tmp_path, ca
     del algebra["generators"][0]["cols"]
     bad = [write_json(tmp_path, "bad_schedule.json",
                       corpus_payload(corpus, "pcs_unit", name="bad_schedule", schedule=[0.5])),
+           write_json(tmp_path, "empty_schedule.json",
+                      corpus_payload(corpus, "pcs_unit", name="empty_schedule", schedule=[])),
            write_json(tmp_path, "no_cols.json", algebra)]
     paths = bad + corpus_paths()
     monkeypatch.setattr("lomlab.cli.corpus_paths", lambda: paths)
     out = tmp_path / "report.json"
     assert main(["suite", "--out", str(out)]) == EXIT_SUITE
-    assert f"suite: {len(paths) - 2}/{len(paths)} passed" in capsys.readouterr().out
+    assert f"suite: {len(paths) - 3}/{len(paths)} passed" in capsys.readouterr().out
     entries = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
     assert entries["bad_schedule"]["status"] == "error"
     assert entries["bad_schedule"]["detail"].startswith("BadScheduleError")
+    assert entries["empty_schedule"]["status"] == "error"
+    assert entries["empty_schedule"]["detail"].startswith("BadScheduleError")
     assert entries["no_cols"]["status"] == "parse-error"
     assert entries["no_cols"]["detail"].startswith("ParseError")
-    assert sum(e["status"] == "pass" for e in entries.values()) == len(paths) - 2
+    assert sum(e["status"] == "pass" for e in entries.values()) == len(paths) - 3
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "abc"])

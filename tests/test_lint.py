@@ -10,8 +10,8 @@ certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
 instance field into a ``ParseError`` in one guard, ``cli._malformed``.
 ``scipy`` and ``mpmath`` are imported only inside the functions that call them,
-never at module level, and every imported name is read or exported.  No function
-takes a private (underscore) parameter.
+never at module level, and every imported name, in the tests too, is read or
+exported.  No function takes a private (underscore) parameter.
 """
 
 import ast
@@ -21,6 +21,7 @@ from pathlib import Path
 from lomlab import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lomlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def dotted(node):
@@ -193,10 +194,13 @@ def test_scipy_and_mpmath_are_imported_only_where_called():
 
 def test_every_import_is_used_or_exported():
     # a name imported into a module is read in it or listed in its __all__; a line
-    # marked `# noqa: F401` keeps a binding that only something outside reads
+    # marked `# noqa: F401` keeps a binding that only something outside reads.  The
+    # test modules are held to it too.
     offenders = []
-    for name, tree in modules():
-        lines = (SRC / name).read_text(encoding="utf-8").splitlines()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        name = f"{path.parent.name}/{path.name}"
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         exported = set()
         for node in tree.body:
