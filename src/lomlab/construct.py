@@ -196,13 +196,13 @@ class GenericPair:
 
 
 def build_pcs(norm_schedule) -> PCSOperator:
-    """Direct sum of 2x2 blocks [[0, -s], [1/s, 0]], one per schedule entry s_m >= 1;
+    """Direct sum of 2x2 blocks [[0, -s], [1/s, 0]], one per finite schedule entry s_m >= 1;
     each squares to -I and the m-th block has spectral norm s_m."""
     schedule = [float(s) for s in norm_schedule]
     if not schedule:
         raise BadScheduleError("at least one block is required")
-    if any(s < 1.0 for s in schedule):
-        raise BadScheduleError("schedule entries must be >= 1")
+    if not all(1.0 <= s < np.inf for s in schedule):  # NaN fails both comparisons
+        raise BadScheduleError("schedule entries must be finite and >= 1")
     n = 2 * len(schedule)
     s = np.zeros((n, n))
     for m, sm in enumerate(schedule):

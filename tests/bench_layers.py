@@ -1,5 +1,6 @@
-"""pytest-benchmark cases for the public ``envelope``, ``classify``, ``min_rank``,
-``is_transitive`` and ``check_isomorphism``.
+"""pytest-benchmark cases for the public ``generate_algebra``, ``commutant``,
+``density_degree``, ``envelope``, ``classify``, ``min_rank``, ``is_transitive`` and
+``check_isomorphism``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -7,14 +8,16 @@ The file name keeps these cases out of the default test run.  Run them with
         --benchmark-json BENCH_<name>.json
 
 Inputs are two generators of M_m(C) on R^(2m) or M_m(H) on R^(4m), or of M_16(R),
-conjugated by a similarity of condition 100 (``default_rng(0)``).  The rejection case
-gives ``is_transitive`` the block upper-triangular algebra with diagonal blocks of n/2,
-conjugated the same way, so it times the commutant, the count and the witness.  Each
-of these cases times three rounds of one call.  The ranges case parses both sequence
-specs of the shipped ``ranges_power23`` instance with ``sequence_from_json`` and checks
-them with ``check_isomorphism``; it takes well under a millisecond, so it times 100
-rounds of 10 calls.  Every entry's ``extra_info`` records the CPU count and the BLAS
-thread setting.
+conjugated by a similarity of condition 100 (``default_rng(0)``).  The
+``generate_algebra`` case times the closure of those two generators and the identity;
+the others take the closed algebra and, where they need it, its recognized structure.
+The rejection case gives ``is_transitive`` the block upper-triangular algebra with
+diagonal blocks of n/2, conjugated the same way, so it times the commutant, the count
+and the witness.  Each of these cases times three rounds of one call.  The ranges
+case parses both sequence specs of the shipped ``ranges_power23`` instance with
+``sequence_from_json`` and checks them with ``check_isomorphism``; it takes well under
+a millisecond, so it times 100 rounds of 10 calls.  Every entry's ``extra_info``
+records the CPU count and the BLAS thread setting.
 """
 
 import os
@@ -23,18 +26,21 @@ import numpy as np
 import pytest
 
 from conftest import conjugated_reducible_algebra, random_quaternion, random_similarity
-from lomlab.classify import classify, envelope
+from lomlab.classify import classify, density_degree, envelope
 from lomlab.cli import sequence_from_json
 from lomlab.division import embed_complex, embed_quaternion
-from lomlab.engine import generate_algebra, is_transitive, min_rank
+from lomlab.engine import commutant, generate_algebra, is_transitive, min_rank
 from lomlab.ranges import check_isomorphism
 
 CASES = [("Complex", 16), ("Complex", 32), ("Quaternion", 16), ("Quaternion", 32),
          ("Real", 16)]
 
 
-def planted(kind, n):
-    """Conjugated M_n(R), M_(n/2)(C) or M_(n/4)(H) on R^n and its recognized structure."""
+D_DIM = {"Real": 1, "Complex": 2, "Quaternion": 4}
+
+
+def conjugated_generators(kind, n):
+    """Two generators of M_n(R), M_(n/2)(C) or M_(n/4)(H) on R^n, conjugated."""
     rng = np.random.default_rng(0)
     if kind == "Real":
         gens = [rng.standard_normal((n, n)) for _ in range(2)]
@@ -48,7 +54,12 @@ def planted(kind, n):
                                   for _ in range(m)]) for _ in range(2)]
     p = random_similarity(rng, n, 100.0)
     pinv = np.linalg.inv(p)
-    alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
+    return [p @ g @ pinv for g in gens]
+
+
+def planted(kind, n):
+    """The algebra the conjugated generators close to, and its recognized structure."""
+    alg = generate_algebra(conjugated_generators(kind, n), include_identity=True)
     return alg, is_transitive(alg).structure
 
 
@@ -56,6 +67,31 @@ def machine(benchmark):
     benchmark.extra_info["cpu_count"] = os.cpu_count()
     benchmark.extra_info["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS",
                                                           "unset (OpenBLAS default)")
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_generate_algebra(benchmark, kind, n):
+    gens = conjugated_generators(kind, n)
+    machine(benchmark)
+    alg = benchmark.pedantic(generate_algebra, args=(gens, True), rounds=3, iterations=1)
+    assert alg.dim * D_DIM[kind] == n * n
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_commutant(benchmark, kind, n):
+    alg, _ = planted(kind, n)
+    machine(benchmark)
+    comm = benchmark.pedantic(commutant, args=(alg,), rounds=3, iterations=1)
+    assert len(comm) == D_DIM[kind]
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_density_degree(benchmark, kind, n):
+    alg, structure = planted(kind, n)
+    machine(benchmark)
+    degree, _ = benchmark.pedantic(density_degree, args=(alg, structure), rounds=3,
+                                   iterations=1)
+    assert degree == D_DIM[kind]
 
 
 @pytest.mark.parametrize("kind, n", CASES)

@@ -100,8 +100,11 @@ def test_json_lists_match_the_per_element_floats(m):
 
 
 def test_matrix_shape_validation():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="declares 2x2 but carries 3 entries"):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [1, 2, 3]})
+    for rows, cols in ((0, 0), (0, 2), (2, 0)):
+        with pytest.raises(ParseError, match="at least one row and one column"):
+            matrix_from_json({"rows": rows, "cols": cols, "entries": []})
 
 
 def test_sequence_specs():
@@ -174,11 +177,40 @@ def test_classify_rejects_wrong_kind(tmp_path, capsys):
 
 
 def test_construct_pcs(tmp_path, capsys):
-    path = minimal_pcs(tmp_path)
-    assert main(["construct", path]) == EXIT_OK
+    # a norm schedule that grows without bound is the paper's continuum, so a
+    # large norm is counted like a small one
+    for schedule in ([1.0, 2.0], [1.0, 1e8]):
+        assert main(["construct", minimal_pcs(tmp_path, schedule=schedule)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["anti_involution_residual"] == 0.0
+        assert report["result"]["commutant_algebra_dim"] == 8
+    assert main(["construct", minimal_pcs(tmp_path, schedule=["nan"])]) == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"] == "BadScheduleError"
+
+
+def test_construct_rep_with_an_ill_conditioned_twist(tmp_path, capsys):
+    payload = {"kind": "rep", "name": "t", "blocks": 1,
+               "twists": [matrix_to_json(np.diag([1.0, 1e6, 1.0, 1.0]))],
+               "seed": 0, "tolerance": {"rel_eps": 1e-9, "abs_eps": 1e-12}}
+    assert main(["construct", write_json(tmp_path, "rep.json", payload)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["result"]["anti_involution_residual"] == 0.0
-    assert report["result"]["commutant_algebra_dim"] == 8
+    assert report["result"]["commutant_algebra_dim"] == 4
+
+
+def test_construct_counts_the_commutant_without_building_it(corpus, monkeypatch):
+    construct = importlib.import_module("lomlab.construct")
+    calls = []
+
+    def counted(*args, _fn=construct.d_linear_maps, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "d_linear_maps", counted)
+    runs = [run_instance(payload) for payload in corpus.values()
+            if payload["kind"] in ("pcs", "pair", "rep")]
+    assert len(runs) == 5 and all(run["error"] is None for run in runs)
+    # validate certifies S^2 = -I or the group relations; n^2/2 or n^2/4 follows
+    assert calls == []
 
 
 def test_construct_degenerate_pair(tmp_path, capsys):

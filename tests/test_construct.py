@@ -96,8 +96,10 @@ def test_build_pcs_growing_schedule():
 
 
 def test_build_pcs_bad_schedule():
-    with pytest.raises(BadScheduleError):
-        build_pcs([0.5])
+    # NaN fails both comparisons of 1 <= s < inf
+    for schedule in ([0.5], [float("nan")], [float("inf")], [2.0, float("nan")]):
+        with pytest.raises(BadScheduleError, match="finite and >= 1"):
+            build_pcs(schedule)
     with pytest.raises(BadScheduleError, match="at least one block"):
         build_pcs([])
 
