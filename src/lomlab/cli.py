@@ -5,7 +5,7 @@ Instance files are self-describing JSON with explicit shapes, seeds and
 tolerances (defaults are written back into reports, never left implicit).
 Matrices are row-major ``{"rows": r, "cols": c, "entries": [...]}``;
 INFINITY in dimension sequences is spelled ``"inf"``.  An integer field takes
-an integral number (``2`` or ``2.0``, never ``2.5``).
+an integral number (``2`` or ``2.0``, never ``2.5`` or ``true``).
 
 Exit codes: 0 success, 2 parse/validation error (any missing, mistyped or
 out-of-range field, ``suite --tol`` included), 3 mathematical precondition
@@ -70,8 +70,10 @@ def _malformed(what):
 
 def _integer(value) -> int:
     """An integral JSON number (``2``, or ``2.0``) as an int: ValueError for any other
-    float (``2.5``, NaN, Infinity), TypeError for what is not a number.  Read inside
-    ``_malformed``, both are a parse error."""
+    float (``2.5``, NaN, Infinity), TypeError for what is not a number, ``true`` and
+    ``false`` included.  Read inside ``_malformed``, both are a parse error."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean, not an integer")
     if isinstance(value, float):
         if not value.is_integer():
             raise ValueError(f"{value!r} is not an integer")
@@ -237,7 +239,9 @@ def _run_rep(payload: dict, tol: Tolerance, seed: int) -> dict:
     return {
         "ambient_dim": rep.n,
         "homomorphism_residual": residual,
-        "matrices": {g: matrix_to_json(rep.pi[g]) for g in GROUP_ELEMENTS},
+        # one (8, n * n) list, each row as matrix_to_json writes it
+        "matrices": {g: {"rows": rep.n, "cols": rep.n, "entries": entries}
+                     for g, entries in zip(GROUP_ELEMENTS, rep.ops.reshape(8, -1).tolist())},
         "commutant_algebra_dim": rep.n * rep.n // 4,
     }
 

@@ -20,6 +20,7 @@ from .division import Quaternion, left_mult_matrix, quat_mul
 from .engine import MatrixAlgebra, d_linear_maps
 from .errors import (
     BadScheduleError,
+    NonFiniteError,
     NotComplementaryError,
     NotInvariantError,
     ShapeMismatchError,
@@ -81,6 +82,9 @@ def group_inverse(a: str) -> str:
 # operators in that order indexed by it is the stack of the products' images.
 _CAYLEY = np.array([[GROUP_ELEMENTS.index(group_mult(a, b)) for b in GROUP_ELEMENTS]
                     for a in GROUP_ELEMENTS])
+_INVERSE = np.nonzero(_CAYLEY == 0)[1]  # g h = 1, pi(1) first: h = g^-1 in row g
+_IJK = [GROUP_ELEMENTS.index(g) for g in "ijk"]
+_LEFT_UNITS = np.stack([left_mult_matrix(GROUP_UNITS[g]) for g in GROUP_ELEMENTS])
 
 
 # Conjugation by j, q -> j q j^{-1}: fixes +-1 and +-j, negates +-i and +-k.
@@ -90,6 +94,7 @@ CONJUGATION_BY_J = {
     "j": "j", "-j": "-j",
     "k": "-k", "-k": "k",
 }
+_CONJ_J = np.array([GROUP_ELEMENTS.index(CONJUGATION_BY_J[g]) for g in GROUP_ELEMENTS])
 
 
 @dataclass(frozen=True)
@@ -127,33 +132,35 @@ class PCSOperator:
 
 @dataclass(frozen=True)
 class GroupRep:
-    """The eight operators of a quaternion group representation."""
+    """The eight operators of a quaternion group representation, as one read-only
+    (8, n, n) float64 stack ``ops`` in GROUP_ELEMENTS order."""
 
     n: int
-    pi: dict
+    ops: np.ndarray
 
     def __post_init__(self):
-        mats = {g: as_matrix(self.pi[g], square=True) for g in GROUP_ELEMENTS}
-        if any(m.shape != (self.n, self.n) for m in mats.values()):
+        ops = np.array(self.ops, dtype=float)
+        if self.n < 1 or ops.shape != (len(GROUP_ELEMENTS), self.n, self.n):
             raise ShapeMismatchError("representation matrices must be n x n")
-        object.__setattr__(self, "pi", mats)
+        if not np.all(np.isfinite(ops)):
+            raise NonFiniteError("matrix contains NaN or Inf entries")
+        ops.flags.writeable = False
+        object.__setattr__(self, "ops", ops)
 
-    def stack(self) -> np.ndarray:
-        """The eight operators as one (8, n, n) array, in GROUP_ELEMENTS order."""
-        return np.stack([self.pi[g] for g in GROUP_ELEMENTS])
+    @property
+    def pi(self) -> dict:
+        """Each group label mapped to its (read-only) view of ``ops``."""
+        return dict(zip(GROUP_ELEMENTS, self.ops))
 
     def homomorphism_residual(self) -> float:
         """max over g, h of ||pi(g) pi(h) - pi(gh)||_F."""
-        pis = self.stack()
-        return float(frobenius_norms(pis[:, None] @ pis[None] - pis[_CAYLEY]).max())
+        return float(frobenius_norms(self.ops[:, None] @ self.ops[None] - self.ops[_CAYLEY]).max())
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Check the group relations; returns the homomorphism residual."""
-        eye = np.eye(self.n)
-        scale = max(1.0, max(float(np.linalg.norm(m)) for m in self.pi.values()) ** 2)
+        scale = max(1.0, float(frobenius_norms(self.ops).max()) ** 2)
         residual = self.homomorphism_residual()
-        worst = max(np.linalg.norm(self.pi["1"] - eye), np.linalg.norm(self.pi["-1"] + eye),
-                    residual)
+        worst = max(*frobenius_norms(self.ops[:2] - [np.eye(self.n), -np.eye(self.n)]), residual)
         if not tol.leak_ok(worst, scale, self.n):
             raise ShapeMismatchError(f"group relations violated (residual {worst:.3e})")
         return residual
@@ -271,17 +278,14 @@ def build_quaternion_rep(m: int, twists=None) -> GroupRep:
     mats = [as_matrix(t, square=True) for t in twists]
     if len(mats) != m or any(t.shape != (4, 4) for t in mats):
         raise ShapeMismatchError("expected one 4x4 twist per block")
-    inverses = []
     for t in mats:
         svals = svd(t, compute_uv=False)
         if svals[-1] <= _TWIST_RCOND * max(1.0, svals[0]):
             raise SingularTwistError("twist matrix is singular")
-        inverses.append(np.linalg.inv(t))
-    lgs = np.stack([left_mult_matrix(GROUP_UNITS[g]) for g in GROUP_ELEMENTS])
-    blocks = np.stack(mats)[None] @ lgs[:, None] @ np.stack(inverses)[None]  # (8, m, 4, 4)
+    blocks = np.stack(mats)[None] @ _LEFT_UNITS[:, None] @ np.linalg.inv(mats)[None]  # (8, m, 4, 4)
     pis = np.zeros((len(GROUP_ELEMENTS), m, 4, m, 4))
     pis[:, np.arange(m), :, np.arange(m)] = blocks.swapaxes(0, 1)  # block b on the diagonal
-    return GroupRep(n=4 * m, pi=dict(zip(GROUP_ELEMENTS, pis.reshape(-1, 4 * m, 4 * m))))
+    return GroupRep(n=4 * m, ops=pis.reshape(-1, 4 * m, 4 * m))
 
 
 def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) -> GroupRep:
@@ -293,9 +297,8 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) 
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
-    _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.stack(), tol)
-    pi = {g: tau.pi[g] @ proj_m + tau.pi[CONJUGATION_BY_J[g]] @ proj_n for g in GROUP_ELEMENTS}
-    return GroupRep(n=n, pi=pi)
+    _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.ops, tol)
+    return GroupRep(n=n, ops=tau.ops @ proj_m + tau.ops[_CONJ_J] @ proj_n)
 
 
 def group_mean(k, rep: GroupRep) -> np.ndarray:
@@ -303,9 +306,7 @@ def group_mean(k, rep: GroupRep) -> np.ndarray:
     km = as_matrix(k, square=True)
     if km.shape != (rep.n, rep.n):
         raise ShapeMismatchError("operator shape must match the representation")
-    pis = rep.stack()
-    inverses = pis[np.nonzero(_CAYLEY == 0)[1]]  # g h = 1, pi(1) first: h = g^-1 in row g
-    return np.sum(pis @ km @ inverses, axis=0)
+    return np.sum(rep.ops @ km @ rep.ops[_INVERSE], axis=0)
 
 
 def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -320,12 +321,7 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise ShapeMismatchError("vector dimension must match the representation")
     if np.linalg.norm(xv) <= tol.abs_eps:
         raise ValueError("x must be nonzero")
-    rows = np.stack([
-        xv,
-        rep.pi[group_inverse("i")] @ xv,
-        rep.pi[group_inverse("j")] @ xv,
-        rep.pi[group_inverse("k")] @ xv,
-    ])
+    rows = np.vstack([xv, rep.ops[_INVERSE[_IJK]] @ xv])  # x, pi(g^-1) x for g = i, j, k
     if rank_of(rows, tol) < 4:
         raise SingularSystemError("the four functional constraints are dependent")
     rhs = np.array([0.5, 0.0, 0.0, 0.0])
@@ -338,4 +334,4 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def rep_commutant_algebra(rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with the representation:
     transitive, quaternion type, dimension n^2/4."""
-    return MatrixAlgebra(rep.n, d_linear_maps([rep.pi[g] for g in "ijk"], rep.n, tol), unital=True)
+    return MatrixAlgebra(rep.n, d_linear_maps(list(rep.ops[_IJK]), rep.n, tol), unital=True)

@@ -1,6 +1,6 @@
 """pytest-benchmark cases for the public ``generate_algebra``, ``commutant``,
 ``density_degree``, ``envelope``, ``classify``, ``min_rank``, ``is_transitive`` and
-``check_isomorphism``.
+``check_isomorphism``, and for one ``rep`` instance through ``run_instance``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -16,8 +16,11 @@ diagonal blocks of n/2, conjugated the same way, so it times the commutant, the 
 and the witness.  Each of these cases times three rounds of one call.  The ranges
 case parses both sequence specs of the shipped ``ranges_power23`` instance with
 ``sequence_from_json`` and checks them with ``check_isomorphism``; it takes well under
-a millisecond, so it times 100 rounds of 10 calls.  Every entry's ``extra_info``
-records the CPU count and the BLAS thread setting.
+a millisecond, so it times 100 rounds of 10 calls.  The rep case runs the shipped
+``rep_twisted`` payload through ``run_instance``: it builds a quaternion group
+representation with two twists, twists it on a pair and validates it; it too times 100
+rounds of 10 calls.  Every entry's ``extra_info`` records the CPU count and the BLAS
+thread setting.
 """
 
 import os
@@ -27,7 +30,7 @@ import pytest
 
 from conftest import conjugated_reducible_algebra, random_quaternion, random_similarity
 from lomlab.classify import classify, density_degree, envelope
-from lomlab.cli import sequence_from_json
+from lomlab.cli import run_instance, sequence_from_json
 from lomlab.division import embed_complex, embed_quaternion
 from lomlab.engine import commutant, generate_algebra, is_transitive, min_rank
 from lomlab.ranges import check_isomorphism
@@ -138,3 +141,11 @@ def test_ranges(benchmark, corpus):
     machine(benchmark)
     verdict = benchmark.pedantic(parse_and_check, rounds=100, iterations=10, warmup_rounds=1)
     assert verdict.verdict == "non_isomorphic"
+
+
+def test_rep(benchmark, corpus):
+    payload = corpus["rep_twisted"]
+    machine(benchmark)
+    report = benchmark.pedantic(run_instance, args=(payload,), rounds=100, iterations=10,
+                                warmup_rounds=1)
+    assert report["error"] is None and report["result"]["commutant_algebra_dim"] == 16

@@ -18,6 +18,7 @@ from lomlab.cli import (
     sequence_from_json,
     vector_to_json,
 )
+from lomlab import construct
 from lomlab.construct import GroupRep, PCSOperator
 from lomlab.errors import ParseError
 from lomlab.ranges import INFINITY
@@ -73,6 +74,19 @@ def test_run_instance_computes_each_residual_once(corpus, monkeypatch):
         assert run_instance(corpus[name])["error"] is None
     # validate checks the residual and returns it for the report
     assert calls == ["homomorphism_residual", "anti_involution_residual"]
+
+
+def test_rep_run_copies_and_inverts_once(corpus, monkeypatch):
+    calls = {"as_matrix": 0, "inv": 0}
+    for module, name in ((construct, "as_matrix"), (np.linalg, "inv")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run_instance(corpus["rep_twisted"])["error"] is None
+    # two twists and the pair's two bases; the rep is one checked stack, and every
+    # twist is inverted by one batched call
+    assert calls["as_matrix"] <= 4 and calls["inv"] <= 1
 
 
 # --- parsing -----------------------------------------------------------------
@@ -286,11 +300,23 @@ def rep_pair_without_n_basis(corpus):
         c, "complex_m2_plain",
         generators=[dict(g, rows=4.5) for g in c["complex_m2_plain"]["generators"]])),
     ("construct", lambda c: corpus_payload(c, "rep_untwisted", blocks=2.5)),
+    # JSON booleans are not integers, though bool subclasses int in Python
+    ("construct", lambda c: corpus_payload(c, "rep_untwisted", blocks=True)),
+    ("construct", lambda c: corpus_payload(c, "pcs_unit", seed=False)),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", density_trials=True)),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", p_max=True)),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted", left={"dims": [0, True, 3]})),
+    ("ranges", lambda c: corpus_payload(c, "ranges_shifted",
+                                        left=dict(c["ranges_shifted"]["left"], head=True))),
+    ("classify", lambda c: corpus_payload(
+        c, "complex_m2_plain", ambient_dim=1,
+        generators=[{"rows": True, "cols": 1, "entries": [2.0]}])),
 ], ids=["horizon-1", "p_max-negative", "trials-not-a-number", "trials-negative",
         "seed-not-a-number", "pair-without-n_basis", "seed-negative", "twists-not-a-list",
         "kind-not-a-string", "horizon-fraction", "p_max-fraction", "shift-fraction",
         "dims-fraction", "ambient_dim-fraction", "trials-fraction", "seed-fraction",
-        "rows-fraction", "blocks-fraction"])
+        "rows-fraction", "blocks-fraction", "blocks-true", "seed-false", "trials-true",
+        "p_max-true", "dims-true", "head-true", "rows-true"])
 def test_malformed_field_is_parse_error(corpus, tmp_path, capsys, command, build):
     path = write_json(tmp_path, "bad.json", build(corpus))
     assert main([command, path]) == EXIT_PARSE

@@ -9,6 +9,7 @@ from lomlab.construct import (
     GROUP_ELEMENTS,
     GROUP_UNITS,
     GenericPair,
+    GroupRep,
     build_pcs,
     build_quaternion_rep,
     generic_pair_pcs,
@@ -24,6 +25,7 @@ from lomlab.construct import (
 from lomlab.division import AlgebraType, Quaternion, embed_quaternion, left_mult_matrix, quat_mul
 from lomlab.errors import (
     BadScheduleError,
+    NonFiniteError,
     NotComplementaryError,
     NotInvariantError,
     ShapeMismatchError,
@@ -257,6 +259,37 @@ def test_rep_rejects_singular_twist():
         build_quaternion_rep(1, [np.diag([1.0, 0.0, 1.0, 1.0])])
 
 
+def test_rep_is_one_read_only_stack():
+    rep = build_quaternion_rep(2, [np.eye(4), np.diag([1.0, 2.0, 1.0, 1.0])])
+    assert rep.ops.shape == (8, 8, 8) and rep.ops.dtype == np.float64
+    with pytest.raises(ValueError):
+        rep.ops[0, 0, 0] = 5.0
+    for index, g in enumerate(GROUP_ELEMENTS):
+        assert np.array_equal(rep.pi[g], rep.ops[index])
+    with pytest.raises(ValueError):
+        rep.pi["i"][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("shape", [(7, 4, 4), (8, 4, 3), (8, 3, 3), (8, 16)])
+def test_rep_rejects_a_wrongly_shaped_stack(shape):
+    with pytest.raises(ShapeMismatchError, match="representation matrices must be n x n"):
+        GroupRep(n=4, ops=np.zeros(shape))
+
+
+def test_rep_rejects_a_nonfinite_stack():
+    ops = np.array(build_quaternion_rep(1).ops)
+    ops[3, 1, 2] = np.nan
+    with pytest.raises(NonFiniteError, match="NaN or Inf"):
+        GroupRep(n=4, ops=ops)
+
+
+def test_rep_copies_its_stack():
+    ops = np.array(build_quaternion_rep(1).ops)
+    rep = GroupRep(n=4, ops=ops)
+    ops[0, 0, 0] = 5.0
+    assert rep.ops[0, 0, 0] == 1.0
+
+
 def test_twisted_rep_block_actions():
     tau = build_quaternion_rep(2)
     pair = GenericPair(np.eye(8)[:, :4], np.eye(8)[:, 4:])
@@ -317,6 +350,10 @@ def test_batched_rep_matches_the_loops_bit_for_bit(seed):
         n = 4 * m
         pair = GenericPair(np.eye(n)[:, :4], np.eye(n)[:, 4:])
         reps.append(twisted_rep(pair, rep))
+        proj_m, proj_n, _ = pair.decomposition()
+        for g in GROUP_ELEMENTS:
+            reference = rep.pi[g] @ proj_m + rep.pi[CONJUGATION_BY_J[g]] @ proj_n
+            assert np.array_equal(reps[-1].pi[g], reference)
     for r in reps:
         assert r.homomorphism_residual() == loop_homomorphism_residual(r)
         k = rng.standard_normal((r.n, r.n))
@@ -404,8 +441,7 @@ def test_popolam_rejects_zero():
 
 def test_popolam_rejects_degenerate_rep():
     # a malformed "representation" with pi(g) = I for every g collapses the system
-    fake = build_quaternion_rep(1)
-    object.__setattr__(fake, "pi", {g: np.eye(4) for g in GROUP_ELEMENTS})
+    fake = GroupRep(n=4, ops=np.broadcast_to(np.eye(4), (8, 4, 4)))
     with pytest.raises(SingularSystemError):
         solve_popolam(np.eye(4)[0], fake)
 
