@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityObstruction:
     """Certificate that one algebra element cannot separate x from its unit image.
 

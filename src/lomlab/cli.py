@@ -263,13 +263,9 @@ def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
     }
     if verdict.witness is not None:
         n, m, direction = verdict.witness
-        reverified = all(
-            witness_violates(left, right, n, m, p, direction)
-            for p in range(p_max + 1)
-        )
         result["witness"] = {
             "n": n, "m": m, "direction": direction,
-            "reverified_all_p": bool(reverified),
+            "reverified_all_p": witness_violates(left, right, n, m, p_max, direction),
         }
     return result
 

@@ -28,7 +28,7 @@ from .errors import (
     SingularTwistError,
 )
 from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector,
-                      frobenius_norms, orthonormal_rows, rank_of, solve_least_squares, svd)
+                      frobenius_norms, rank_of, solve_least_squares, svd)
 
 __all__ = [
     "GROUP_ELEMENTS",
@@ -97,7 +97,7 @@ CONJUGATION_BY_J = {
 _CONJ_J = np.array([GROUP_ELEMENTS.index(CONJUGATION_BY_J[g]) for g in GROUP_ELEMENTS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCSOperator:
     """A matrix S with S^2 = -I, built from 2x2 blocks with prescribed norms.
 
@@ -130,7 +130,7 @@ class PCSOperator:
         return residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupRep:
     """The eight operators of a quaternion group representation, as one read-only
     (8, n, n) float64 stack ``ops`` in GROUP_ELEMENTS order."""
@@ -166,7 +166,7 @@ class GroupRep:
         return residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericPair:
     """Column bases of two complementary subspaces of the ambient space."""
 
@@ -238,14 +238,20 @@ def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> Mat
     return MatrixAlgebra(pcs.dim, d_linear_maps([pcs.matrix], pcs.dim, tol), unital=True)
 
 
-def _check_invariant(pair: GenericPair, names, ops: np.ndarray, tol: Tolerance) -> None:
-    """Raise NotInvariantError unless both subspaces of the pair are invariant
-    under every operator of the (k, n, n) stack ``ops``, named by ``names``."""
-    for basis in (pair.m_basis, pair.n_basis):
-        q = orthonormal_rows(basis.T, tol)
-        imgs = ops @ basis
-        leaks, sizes = frobenius_norms(np.stack([imgs - q.T @ (q @ imgs), imgs]))
-        ok = tol.leak_ok(leaks, np.maximum(1.0, sizes), pair.ambient_dim)
+def _check_invariant(proj_m: np.ndarray, proj_n: np.ndarray, names, ops: np.ndarray,
+                     tol: Tolerance) -> None:
+    """Raise NotInvariantError unless both subspaces of a pair are invariant under
+    every operator g of the (k, n, n) stack ``ops``, named by ``names``.
+
+    ``proj_m`` and ``proj_n`` are the pair's projections, P_M + P_N = I: M is
+    g-invariant iff P_N g P_M = 0, and N iff P_M g P_N = 0.  Each leak is cut
+    against max(1, ||g P||_F), which grows with the projection's oblique norm.
+    """
+    n = proj_m.shape[0]
+    for proj, other in ((proj_m, proj_n), (proj_n, proj_m)):
+        imgs = ops @ proj
+        leaks, sizes = frobenius_norms(np.stack([other @ imgs, imgs]))
+        ok = tol.leak_ok(leaks, np.maximum(1.0, sizes), n)
         if not ok.all():
             raise NotInvariantError(f"subspace is not invariant under {names[np.argmin(ok)]}")
 
@@ -261,7 +267,7 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     if u.shape[0] != n:
         raise ShapeMismatchError("structure unit must match the ambient dimension")
     proj_m, proj_n, cond = pair.decomposition(tol)
-    _check_invariant(pair, ["the structure unit"], u[None], tol)
+    _check_invariant(proj_m, proj_n, ["the structure unit"], u[None], tol)
     s = u @ proj_m - u @ proj_n
     svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
@@ -297,7 +303,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) 
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
-    _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.ops, tol)
+    _check_invariant(proj_m, proj_n, [f"tau({g})" for g in GROUP_ELEMENTS], tau.ops, tol)
     return GroupRep(n=n, ops=tau.ops @ proj_m + tau.ops[_CONJ_J] @ proj_n)
 
 

@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixAlgebra:
     """Linear basis of an algebra of n x n real matrices.
 

@@ -1,6 +1,7 @@
 """pytest-benchmark cases for the public ``generate_algebra``, ``commutant``,
 ``density_degree``, ``envelope``, ``classify``, ``min_rank``, ``is_transitive`` and
-``check_isomorphism``, and for one ``rep`` instance through ``run_instance``.
+``check_isomorphism``, and for the ``rep``, ``pair`` and ``ranges`` instances of the
+shipped corpus through ``run_instance``.
 
 The file name keeps these cases out of the default test run.  Run them with
 
@@ -16,11 +17,13 @@ diagonal blocks of n/2, conjugated the same way, so it times the commutant, the 
 and the witness.  Each of these cases times three rounds of one call.  The ranges
 case parses both sequence specs of the shipped ``ranges_power23`` instance with
 ``sequence_from_json`` and checks them with ``check_isomorphism``; it takes well under
-a millisecond, so it times 100 rounds of 10 calls.  The rep case runs the shipped
-``rep_twisted`` payload through ``run_instance``: it builds a quaternion group
-representation with two twists, twists it on a pair and validates it; it too times 100
-rounds of 10 calls.  Every entry's ``extra_info`` records the CPU count and the BLAS
-thread setting.
+a millisecond, so it times 100 rounds of 10 calls.  Three cases run a shipped payload
+through ``run_instance``, each for 100 rounds of 10 calls: ``rep_twisted`` builds a
+quaternion group representation with two twists, twists it on a pair and validates it;
+``pair_tilted`` builds the partial complex structure of a tilted generic pair and
+validates it; ``ranges_power23`` parses and checks the two sequences and re-verifies
+the witness at every shift.  Every entry's ``extra_info`` records the CPU count and the
+BLAS thread setting.
 """
 
 import os
@@ -143,9 +146,25 @@ def test_ranges(benchmark, corpus):
     assert verdict.verdict == "non_isomorphic"
 
 
-def test_rep(benchmark, corpus):
-    payload = corpus["rep_twisted"]
+def run_payload(benchmark, payload):
+    """Time ``run_instance`` on one payload and return its error-free report."""
     machine(benchmark)
     report = benchmark.pedantic(run_instance, args=(payload,), rounds=100, iterations=10,
                                 warmup_rounds=1)
-    assert report["error"] is None and report["result"]["commutant_algebra_dim"] == 16
+    assert report["error"] is None
+    return report
+
+
+def test_rep(benchmark, corpus):
+    report = run_payload(benchmark, corpus["rep_twisted"])
+    assert report["result"]["commutant_algebra_dim"] == 16
+
+
+def test_pair(benchmark, corpus):
+    report = run_payload(benchmark, corpus["pair_tilted"])
+    assert report["result"]["commutant_algebra_dim"] == 8
+
+
+def test_ranges_instance(benchmark, corpus):
+    witness = run_payload(benchmark, corpus["ranges_power23"])["result"]["witness"]
+    assert witness["reverified_all_p"] is True

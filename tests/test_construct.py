@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import greedy_oracle, random_similarity
-from lomlab.classify import classify_type
+from lomlab.classify import DensityObstruction, classify_type
 from lomlab.construct import (
     _CAYLEY,
     CONJUGATION_BY_J,
@@ -290,6 +290,19 @@ def test_rep_copies_its_stack():
     assert rep.ops[0, 0, 0] == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_pcs([1.0, 2.0]),
+    lambda: build_quaternion_rep(1),
+    lambda: GenericPair(np.eye(4)[:, :2], np.eye(4)[:, 2:]),
+    lambda: pcs_commutant_algebra(build_pcs([1.0])),
+    lambda: DensityObstruction(np.ones(4), np.ones(4), np.zeros(4), 0.5),
+], ids=["PCSOperator", "GroupRep", "GenericPair", "MatrixAlgebra", "DensityObstruction"])
+def test_array_holding_values_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_twisted_rep_block_actions():
     tau = build_quaternion_rep(2)
     pair = GenericPair(np.eye(8)[:, :4], np.eye(8)[:, 4:])
@@ -307,6 +320,45 @@ def test_twisted_rep_rejects_noninvariant_pair():
     n = np.eye(8)[:, 3:7]  # mixes the two quaternionic blocks
     with pytest.raises((NotInvariantError, NotComplementaryError)):
         twisted_rep(GenericPair(m, n), tau)
+
+
+def turned_tilted_case(kind, theta, push=0.0):
+    """``(build, m_basis, n_basis)`` of an invariant pair M, N = M rotated by theta
+    toward its orthogonal complement, so cond([M | N]) ~ 2 / theta.  ``kind`` "pair"
+    builds ``generic_pair_pcs`` with the structure unit on R^4, "rep" ``twisted_rep``
+    of ``build_quaternion_rep(2)`` on R^8.  Everything is turned by one random
+    orthogonal Q, so no entry is exact, and ``push`` moves N's first column off N
+    along the last coordinate before the turn."""
+    half = 2 if kind == "pair" else 4
+    q = random_similarity(np.random.default_rng(0), 2 * half, 1.0)
+    m = np.vstack([np.eye(half), np.zeros((half, half))])
+    n = np.vstack([np.cos(theta) * np.eye(half), np.sin(theta) * np.eye(half)])
+    n[-1, 0] += push
+    if kind == "pair":
+        unit = q @ np.kron(np.eye(2), J2) @ q.T
+        return (lambda pair: generic_pair_pcs(pair, unit)), q @ m, q @ n
+    tau = GroupRep(n=8, ops=q @ build_quaternion_rep(2).ops @ q.T)
+    return (lambda pair: twisted_rep(pair, tau)), q @ m, q @ n
+
+
+# P_N g P_M leaks through an oblique projection whose norm grows with cond([M | N]):
+# rounding must stay inside leak_ok, and a real leak must not hide behind the scale.
+@pytest.mark.parametrize("kind", ["pair", "rep"])
+@pytest.mark.parametrize("theta, cond", [(2e-6, 1e6), (2e-8, 1e8)])
+def test_invariant_pair_tilted_to_high_cond_is_accepted(kind, theta, cond):
+    build, m, n = turned_tilted_case(kind, theta)
+    pair = GenericPair(m, n)
+    assert pair.decomposition()[2] == pytest.approx(cond, rel=1e-3)
+    build(pair).validate()
+
+
+@pytest.mark.parametrize("kind, push", [("pair", 1e-6), ("rep", 3e-6)])
+def test_tilted_pair_leaking_just_past_leak_ok_is_rejected(kind, push):
+    # push leaks about 2.5 times what leak_ok lets through when measured against an
+    # orthonormal basis of N, and about 1e6 times through the oblique projections
+    build, m, n = turned_tilted_case(kind, 2e-6, push)
+    with pytest.raises(NotInvariantError, match="subspace is not invariant"):
+        build(GenericPair(m, n))
 
 
 def loop_quaternion_rep(m, twists):

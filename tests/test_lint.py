@@ -11,7 +11,8 @@ Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
 instance field into a ``ParseError`` in one guard, ``cli._malformed``.
 ``scipy`` and ``mpmath`` are imported only inside the functions that call them,
 never at module level, and every imported name, in the tests too, is read or
-exported.  No function takes a private (underscore) parameter.
+exported.  No function takes a private (underscore) parameter, and a frozen
+dataclass with an ``np.ndarray`` field compares by identity (``eq=False``).
 """
 
 import ast
@@ -231,4 +232,28 @@ def test_no_function_takes_a_private_parameter():
         + [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
         if arg.arg.startswith("_")
     ]
+    assert not offenders, offenders
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # a generated __eq__ compares an np.ndarray field with ==, whose array result has no
+    # truth value, and the generated __hash__ hashes it: a frozen dataclass holding one
+    # says eq=False, so == and hash are by identity
+    offenders = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for deco in node.decorator_list:
+                if not (isinstance(deco, ast.Call) and dotted(deco.func) == "dataclass"):
+                    continue
+                options = {kw.arg: kw.value for kw in deco.keywords}
+                frozen, eq = options.get("frozen"), options.get("eq")
+                if not (isinstance(frozen, ast.Constant) and frozen.value is True) or (
+                        isinstance(eq, ast.Constant) and eq.value is False):
+                    continue
+                if any(isinstance(field, ast.AnnAssign) and "np.ndarray" in {
+                        dotted(part) for part in ast.walk(field.annotation)}
+                       for field in node.body):
+                    offenders.append(f"{name}:{node.lineno} {node.name}")
     assert not offenders, offenders
