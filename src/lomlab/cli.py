@@ -263,9 +263,11 @@ def _run_ranges(payload: dict, tol: Tolerance, seed: int) -> dict:
     }
     if verdict.witness is not None:
         n, m, direction = verdict.witness
+        # the right window n-p..m+p only grows with p and every dim is nonnegative,
+        # so a witness that violates at p_max violates at every shift 0..p_max
         result["witness"] = {
             "n": n, "m": m, "direction": direction,
-            "reverified_all_p": witness_violates(left, right, n, m, p_max, direction),
+            "reverified_all_p": bool(witness_violates(left, right, n, m, p_max, direction)),
         }
     return result
 

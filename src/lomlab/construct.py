@@ -238,22 +238,27 @@ def pcs_commutant_algebra(pcs: PCSOperator, tol: Tolerance = DEFAULT_TOL) -> Mat
     return MatrixAlgebra(pcs.dim, d_linear_maps([pcs.matrix], pcs.dim, tol), unital=True)
 
 
-def _check_invariant(proj_m: np.ndarray, proj_n: np.ndarray, names, ops: np.ndarray,
-                     tol: Tolerance) -> None:
-    """Raise NotInvariantError unless both subspaces of a pair are invariant under
-    every operator g of the (k, n, n) stack ``ops``, named by ``names``.
+def _check_invariant(pair: GenericPair, names, ops: np.ndarray, tol: Tolerance) -> None:
+    """Raise NotInvariantError unless both subspaces of the pair are invariant
+    under every operator of the (k, n, n) stack ``ops``, named by ``names``.
 
-    ``proj_m`` and ``proj_n`` are the pair's projections, P_M + P_N = I: M is
-    g-invariant iff P_N g P_M = 0, and N iff P_M g P_N = 0.  Each leak is cut
-    against max(1, ||g P||_F), which grows with the projection's oblique norm.
+    Called once ``pair.decomposition`` has shown [M | N] to have full rank, so
+    each basis B has full column rank and its Q factor is an orthonormal basis
+    of its subspace: the leak g B - Q Q^T g B stays at rounding whatever
+    cond([M | N]).  Both bases are factored in one call, the narrower padded
+    with zero columns, whose images are zero and whose Q columns are dropped.
     """
-    n = proj_m.shape[0]
-    for proj, other in ((proj_m, proj_n), (proj_n, proj_m)):
-        imgs = ops @ proj
-        leaks, sizes = frobenius_norms(np.stack([other @ imgs, imgs]))
-        ok = tol.leak_ok(leaks, np.maximum(1.0, sizes), n)
-        if not ok.all():
-            raise NotInvariantError(f"subspace is not invariant under {names[np.argmin(ok)]}")
+    dims = np.array([pair.m_basis.shape[1], pair.n_basis.shape[1]])
+    bases = np.zeros((2, pair.ambient_dim, dims.max()))
+    bases[0, :, :dims[0]], bases[1, :, :dims[1]] = pair.m_basis, pair.n_basis
+    q = np.linalg.qr(bases)[0] * (np.arange(dims.max()) < dims[:, None])[:, None]
+    imgs = ops @ bases[:, None]  # (2, k, n, d): each basis under each operator
+    proj = q[:, None] @ (q.transpose(0, 2, 1)[:, None] @ imgs)
+    leaks, sizes = frobenius_norms(np.stack([imgs - proj, imgs]))
+    ok = tol.leak_ok(leaks, np.maximum(1.0, sizes), pair.ambient_dim)
+    if not ok.all():  # name the first failing operator of M, else of N
+        raise NotInvariantError(
+            f"subspace is not invariant under {names[np.argwhere(~ok)[0, 1]]}")
 
 
 def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT_TOL) -> PCSOperator:
@@ -267,7 +272,7 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     if u.shape[0] != n:
         raise ShapeMismatchError("structure unit must match the ambient dimension")
     proj_m, proj_n, cond = pair.decomposition(tol)
-    _check_invariant(proj_m, proj_n, ["the structure unit"], u[None], tol)
+    _check_invariant(pair, ["the structure unit"], u[None], tol)
     s = u @ proj_m - u @ proj_n
     svals = svd(s, compute_uv=False)
     schedule = tuple(float(x) for x in svals[: n // 2])
@@ -303,7 +308,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) 
     if pair.ambient_dim != n:
         raise ShapeMismatchError("pair and representation ambient dimensions differ")
     proj_m, proj_n, _ = pair.decomposition(tol)
-    _check_invariant(proj_m, proj_n, [f"tau({g})" for g in GROUP_ELEMENTS], tau.ops, tol)
+    _check_invariant(pair, [f"tau({g})" for g in GROUP_ELEMENTS], tau.ops, tol)
     return GroupRep(n=n, ops=tau.ops @ proj_m + tau.ops[_CONJ_J] @ proj_n)
 
 

@@ -22,7 +22,7 @@ through ``run_instance``, each for 100 rounds of 10 calls: ``rep_twisted`` build
 quaternion group representation with two twists, twists it on a pair and validates it;
 ``pair_tilted`` builds the partial complex structure of a tilted generic pair and
 validates it; ``ranges_power23`` parses and checks the two sequences and re-verifies
-the witness at every shift.  Every entry's ``extra_info`` records the CPU count and the
+the witness at ``p_max``.  Every entry's ``extra_info`` records the CPU count and the
 BLAS thread setting.
 """
 

@@ -89,6 +89,21 @@ def test_rep_run_copies_and_inverts_once(corpus, monkeypatch):
     assert calls["as_matrix"] <= 4 and calls["inv"] <= 1
 
 
+@pytest.mark.parametrize("name, svds", [("pair_tilted", 2), ("rep_twisted", 3)])
+def test_pair_run_factors_the_pair_once(corpus, monkeypatch, name, svds):
+    calls = []
+
+    def counted(*args, _fn=np.linalg.svd, **kwargs):
+        calls.append(args[0].shape)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert run_instance(corpus[name])["error"] is None
+    # decomposition factors [M | N] once and the invariance check takes QR factors
+    # of the bases; the rest is the schedule of S (pair) or the two twists (rep)
+    assert len(calls) == svds
+
+
 # --- parsing -----------------------------------------------------------------
 
 def test_matrix_roundtrip():

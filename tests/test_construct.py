@@ -10,6 +10,7 @@ from lomlab.construct import (
     GROUP_UNITS,
     GenericPair,
     GroupRep,
+    _check_invariant,
     build_pcs,
     build_quaternion_rep,
     generic_pair_pcs,
@@ -32,7 +33,7 @@ from lomlab.errors import (
     SingularSystemError,
     SingularTwistError,
 )
-from lomlab.numeric import rank_of
+from lomlab.numeric import DEFAULT_TOL, Tolerance, rank_of
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 L_I = embed_quaternion(Quaternion(0, 1, 0, 0))
@@ -199,6 +200,22 @@ def test_generic_pair_rejects_noninvariant():
         generic_pair_pcs(GenericPair(m, n), unit)
 
 
+def test_invariance_check_names_the_first_leak_of_m_then_of_n():
+    keep = np.diag([1.0, 2.0, 3.0])
+    into_e1, out_of_e1 = keep.copy(), keep.copy()
+    into_e1[0, 2] = 1.0    # e3 -> e1 + 3 e3: span{e2, e3} leaks, span{e1} holds
+    out_of_e1[1, 0] = 1.0  # e1 -> e1 + e2: span{e1} leaks, span{e2, e3} holds
+    ops, names = np.stack([keep, into_e1, out_of_e1]), ["keep", "into", "out"]
+    e1, e23 = np.eye(3)[:, :1], np.eye(3)[:, 1:]  # dims 1 + 2: one basis is padded
+    _check_invariant(GenericPair(e1, e23), names, ops[:1], DEFAULT_TOL)
+    for m, n, first, only_n in ((e1, e23, "out", "into"), (e23, e1, "into", "out")):
+        with pytest.raises(NotInvariantError, match=f"under {first}$"):
+            _check_invariant(GenericPair(m, n), names, ops, DEFAULT_TOL)
+        with pytest.raises(NotInvariantError, match=f"under {only_n}$"):
+            _check_invariant(GenericPair(m, n), ["keep", only_n],
+                             ops[[0, names.index(only_n)]], DEFAULT_TOL)
+
+
 def tilted_pair(theta):
     """Second subspace = the first rotated by theta in a J-commuting plane.
 
@@ -322,13 +339,13 @@ def test_twisted_rep_rejects_noninvariant_pair():
         twisted_rep(GenericPair(m, n), tau)
 
 
-def turned_tilted_case(kind, theta, push=0.0):
+def turned_tilted_case(kind, theta, push=0.0, tol=DEFAULT_TOL):
     """``(build, m_basis, n_basis)`` of an invariant pair M, N = M rotated by theta
     toward its orthogonal complement, so cond([M | N]) ~ 2 / theta.  ``kind`` "pair"
     builds ``generic_pair_pcs`` with the structure unit on R^4, "rep" ``twisted_rep``
-    of ``build_quaternion_rep(2)`` on R^8.  Everything is turned by one random
-    orthogonal Q, so no entry is exact, and ``push`` moves N's first column off N
-    along the last coordinate before the turn."""
+    of ``build_quaternion_rep(2)`` on R^8, each under ``tol``.  Everything is turned
+    by one random orthogonal Q, so no entry is exact, and ``push`` moves N's first
+    column off N along the last coordinate before the turn."""
     half = 2 if kind == "pair" else 4
     q = random_similarity(np.random.default_rng(0), 2 * half, 1.0)
     m = np.vstack([np.eye(half), np.zeros((half, half))])
@@ -336,29 +353,35 @@ def turned_tilted_case(kind, theta, push=0.0):
     n[-1, 0] += push
     if kind == "pair":
         unit = q @ np.kron(np.eye(2), J2) @ q.T
-        return (lambda pair: generic_pair_pcs(pair, unit)), q @ m, q @ n
+        return (lambda pair: generic_pair_pcs(pair, unit, tol)), q @ m, q @ n
     tau = GroupRep(n=8, ops=q @ build_quaternion_rep(2).ops @ q.T)
-    return (lambda pair: twisted_rep(pair, tau)), q @ m, q @ n
+    return (lambda pair: twisted_rep(pair, tau, tol)), q @ m, q @ n
 
 
-# P_N g P_M leaks through an oblique projection whose norm grows with cond([M | N]):
-# rounding must stay inside leak_ok, and a real leak must not hide behind the scale.
+# A tilted pair has oblique projections whose norms grow with cond([M | N]); the
+# leak is measured against an orthonormal basis of each subspace, so rounding stays
+# inside leak_ok at any cond and tolerance, and a real leak is judged the same way.
+@pytest.mark.parametrize("rel_eps", [1e-9, 1e-12])
 @pytest.mark.parametrize("kind", ["pair", "rep"])
 @pytest.mark.parametrize("theta, cond", [(2e-6, 1e6), (2e-8, 1e8)])
-def test_invariant_pair_tilted_to_high_cond_is_accepted(kind, theta, cond):
-    build, m, n = turned_tilted_case(kind, theta)
+def test_invariant_pair_tilted_to_high_cond_is_accepted(kind, theta, cond, rel_eps):
+    tol = Tolerance(rel_eps=rel_eps)
+    build, m, n = turned_tilted_case(kind, theta, tol=tol)
     pair = GenericPair(m, n)
-    assert pair.decomposition()[2] == pytest.approx(cond, rel=1e-3)
-    build(pair).validate()
+    assert pair.decomposition(tol)[2] == pytest.approx(cond, rel=1e-3)
+    build(pair).validate(tol)
 
 
-@pytest.mark.parametrize("kind, push", [("pair", 1e-6), ("rep", 3e-6)])
-def test_tilted_pair_leaking_just_past_leak_ok_is_rejected(kind, push):
-    # push leaks about 2.5 times what leak_ok lets through when measured against an
-    # orthonormal basis of N, and about 1e6 times through the oblique projections
-    build, m, n = turned_tilted_case(kind, 2e-6, push)
+@pytest.mark.parametrize("kind, push, rel_eps", [
+    ("pair", 1e-6, 1e-9), ("rep", 3e-6, 1e-9), ("pair", 1e-9, 1e-12), ("rep", 3e-9, 1e-12)])
+def test_tilted_pair_leaking_just_past_leak_ok_is_rejected(kind, push, rel_eps):
+    # each push leaks 2.5 to 2.7 times what leak_ok lets through; a third of it passes
+    tol = Tolerance(rel_eps=rel_eps)
+    build, m, n = turned_tilted_case(kind, 2e-6, push, tol)
     with pytest.raises(NotInvariantError, match="subspace is not invariant"):
         build(GenericPair(m, n))
+    build, m, n = turned_tilted_case(kind, 2e-6, push / 3, tol)
+    build(GenericPair(m, n))
 
 
 def loop_quaternion_rep(m, twists):
