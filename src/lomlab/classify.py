@@ -28,7 +28,7 @@ from .engine import (
     strict_interpolate,
 )
 from .errors import NotTransitiveError
-from .numeric import DEFAULT_TOL, Tolerance, orthonormal_rows, solve_least_squares, svd
+from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares, svd
 
 __all__ = [
     "DensityObstruction",
@@ -107,22 +107,22 @@ def _closed_form_residuals(algebra: MatrixAlgebra, units: list, xs: np.ndarray,
                            ys: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Worst residual max_i ||T x_i - y_i|| of each trial's D-linear interpolant:
     T^T = X_D^-1 Y_D over the rows x_i, U x_i, ... and y_i, U y_i, ... for the units
-    U, projected onto the algebra's span and refined once from the rows r_i, U r_i of
-    the residuals r_i = y_i - T x_i (Y_D - X_D T^T would put back the unit rows'
-    rounding).  Infinite where X_D does not solve."""
-    n = algebra.ambient_dim
-    span = orthonormal_rows(algebra.vec_basis(), tol)
-
-    def interpolant(rows):  # T with T x_i = rows_i over D, projected onto the span
-        t = np.swapaxes(np.linalg.solve(x_d, d_frame(rows, units)), 1, 2).reshape(len(rows), -1)
-        return ((t @ span.T) @ span).reshape(-1, n, n)
-
+    U, projected onto the algebra's ``span`` and refined once from the rows r_i, U r_i
+    of the residuals r_i = y_i - T x_i (Y_D - X_D T^T would put back the unit rows'
+    rounding).  Each trial's X_D is inverted once, for both.  Infinite where X_D has
+    no inverse."""
+    n, span = algebra.ambient_dim, algebra.span
     try:
-        x_d = d_frame(xs, units)
-        t = interpolant(ys)
-        t += interpolant(ys - xs @ np.swapaxes(t, 1, 2))
+        x_d_inv = np.linalg.inv(d_frame(xs, units))
     except np.linalg.LinAlgError:  # X_D singular or not square: a structure that does not fit
         return np.full(len(xs), np.inf)
+
+    def interpolant(rows):  # T with T x_i = rows_i over D, projected onto the span
+        t = np.swapaxes(x_d_inv @ d_frame(rows, units), 1, 2).reshape(len(rows), -1)
+        return ((t @ span.T) @ span).reshape(-1, n, n)
+
+    t = interpolant(ys)
+    t += interpolant(ys - xs @ np.swapaxes(t, 1, 2))
     return np.linalg.norm(ys - xs @ np.swapaxes(t, 1, 2), axis=2).max(axis=1)
 
 
@@ -132,10 +132,11 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
 
     Verification: for ``trials`` seeded random instances, n/k random vectors must
     interpolate onto n/k random targets exactly.  Each trial is interpolated by the
-    closed-form D-linear map Y_D X_D^-1 projected onto the algebra, all trials in one
-    batch.  Only a trial whose residual misses the threshold is solved again by
-    ``strict_interpolate`` on the same vectors; its least-squares residual is the
-    minimum over the algebra, so it decides the trial and is what a failure reports.
+    closed-form D-linear map Y_D X_D^-1 projected onto the algebra's stored ``span``,
+    all trials in one batch, each X_D inverted once.  Only a trial whose residual
+    misses the threshold is solved again by ``strict_interpolate`` on the same
+    vectors; its least-squares residual is the minimum over the algebra, so it
+    decides the trial and is what a failure reports.
     A failure is raised for the first failing trial.  For k > 1 an infeasible
     witness pair is produced as well.
 
@@ -167,7 +168,7 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
              tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """Enveloping algebra End_D(V): everything commuting with the structure units.
 
-    The input must be End_D(V) itself: its basis commutes with D's units and
+    The input must be End_D(V) itself: its generators commute with D's units and
     dim A * d = n^2, or NotTransitiveError (without a witness; ``is_transitive``
     finds one).  With the D-frame check of ``d_linear_maps`` this certifies that A
     is transitive and contained in the result, so no commutant is computed.  For the
@@ -175,7 +176,7 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
     unit triple, and for the real type the full matrix algebra M_n(R).
     """
     n = algebra.ambient_dim
-    if not commutes(algebra.basis, structure.units, tol) \
+    if not commutes(algebra.generators, structure.units, tol) \
             or algebra.dim * structure.commutant_dim != n * n:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
     return MatrixAlgebra(n, d_linear_maps(structure.units, n, tol), unital=True)

@@ -97,7 +97,7 @@ class AlgebraType(enum.Enum):
         return {1: "Real", 2: "Complex", 4: "Quaternion"}[self.value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisionStructure:
     """Recognized division algebra: its type tag plus explicit anti-involutive units.
 
@@ -107,7 +107,7 @@ class DivisionStructure:
     """
 
     type: AlgebraType
-    units: tuple
+    units: tuple[np.ndarray, ...]
 
     @property
     def commutant_dim(self) -> int:

@@ -2,8 +2,11 @@
 
 An algebra is stored as a linear basis of n x n matrices, one read-only (dim, n, n)
 array, together with its ambient dimension and a unitality flag; a commutant is an
-array of the same form.  The operations here cover generated
-closure, commutants, transitivity certificates, minimal rank, strict
+array of the same form.  An algebra also carries its orthonormal row ``span`` in
+R^(n^2), which ``generate_algebra`` hands over (its basis is that span) and an
+explicit basis factors once, on first read, and its ``generators``, the matrices it is
+generated by: commuting with them is commuting with the algebra.  The operations here
+cover generated closure, commutants, transitivity certificates, minimal rank, strict
 interpolation over the commutant division algebra, real spectral (Riesz)
 projections, and idempotent lifting modulo a nilpotent ideal.
 
@@ -12,8 +15,8 @@ Rees, 1994): seeded vectors spun under the basis fix X through X x_j, so its
 kernel system has n k columns, k = 1 on most transitive algebras.  The commutant
 of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
 from one D-frame of seeded vectors, ``min_rank`` writes its probe down from the same
-frame and is the one check that A = End_D(V) (A commutes with D's units and dim A * d
-= n^2), and a rejection's invariant subspace is a spun vector (Norton's
+frame and is the one check that A = End_D(V) (A's generators commute with D's units
+and dim A * d = n^2), and a rejection's invariant subspace is a spun vector (Norton's
 irreducibility test).  No n^2 x n^2 system is built.
 
 Everything is pure: randomized searches take an explicit seed so results are
@@ -82,6 +85,13 @@ class MatrixAlgebra:
     for the zero algebra.  Its elements are linearly independent as vectors in
     R^(n^2) and the span is expected to be closed under products; ``validate``
     checks both.  ``unital`` records whether the identity lies in the span.
+
+    ``span`` is a read-only orthonormal basis of that span as rows in R^(n^2), and
+    ``generators`` a read-only (k, n, n) stack of matrices that generate the algebra
+    (with the identity, if it is unital).  ``generate_algebra`` sets both: its basis
+    rows are the span, and the generators are its inputs scaled to unit norm.  For an
+    explicit basis the generators are the basis, and the span is factored once, at
+    ``DEFAULT_TOL``, when it is first read.
     """
 
     ambient_dim: int
@@ -105,8 +115,18 @@ class MatrixAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
+    def span(self) -> np.ndarray:
+        span = orthonormal_rows(self.vec_basis())
+        span.flags.writeable = False
+        return span
+
+    @functools.cached_property
+    def generators(self) -> np.ndarray:
+        return self.basis
+
     def vec_basis(self) -> np.ndarray:
-        return self.basis.reshape(self.dim, -1)
+        return self.basis.reshape(self.dim, self.ambient_dim ** 2)
 
     def element(self, coeffs) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=float), self.basis, axes=1)
@@ -118,9 +138,9 @@ class MatrixAlgebra:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> float:
         """Check linear independence and product closure; returns the worst residual
-        ||ab - proj(ab)|| / max(1, ||ab||), all products projected onto one orthonormal basis."""
+        ||ab - proj(ab)|| / max(1, ||ab||), all products projected onto ``span``."""
         n = self.ambient_dim
-        span = orthonormal_rows(self.vec_basis(), tol)
+        span = self.span
         if span.shape[0] != self.dim:
             raise ShapeMismatchError("basis is linearly dependent")
         products = np.einsum("aij,bjk->abik", self.basis, self.basis).reshape(-1, n * n)
@@ -139,7 +159,7 @@ class MatrixAlgebra:
         return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitivityReport:
     """Outcome of the Burnside count, with the recognized ``structure`` of the commutant
     (None: no division algebra).  When not ``transitive``, ``witness`` is None or
@@ -147,7 +167,7 @@ class TransitivityReport:
     seed that steered its search is the caller's."""
 
     transitive: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple[np.ndarray, np.ndarray]] = None
     structure: Optional[DivisionStructure] = None
 
 
@@ -158,7 +178,8 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
     the rows the previous round appended by the generators, and appends what the
     products add to the span (``orthonormal_rows(..., against=span)``).  No
     accepted row is factored again.  It stops when a round adds nothing or the
-    span is all of M_n.
+    span is all of M_n.  The algebra keeps those rows as its basis and its ``span``,
+    and the generators scaled to unit norm (zero ones dropped) as its ``generators``.
     """
     mats = [as_matrix(g, square=True) for g in generators]
     if not mats:
@@ -184,7 +205,12 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
     eye = np.eye(n).reshape(-1)
     ident_res = np.linalg.norm(eye - (span @ eye) @ span) / math.sqrt(n)
-    return MatrixAlgebra(n, span.reshape(-1, n, n), unital=bool(tol.residual_ok(ident_res)))
+    algebra = MatrixAlgebra(n, span.reshape(-1, n, n), unital=bool(tol.residual_ok(ident_res)))
+    gens.flags.writeable = False
+    # the appended rows are orthonormal, so they are the span: nothing to factor
+    object.__setattr__(algebra, "span", algebra.vec_basis())
+    object.__setattr__(algebra, "generators", gens)
+    return algebra
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,7 +241,8 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     unless Phi is ill-conditioned.  As the words span an algebra, X commutes with it
     exactly when X w_i x_j = w_i X x_j, that is X = Psi Phi^+ with Psi = [w_i v_j],
     v_j = X x_j, where (v_1..v_k) runs over the kernel of Psi (I - Phi^+ Phi).  Every
-    candidate is checked against every basis element; a miss raises NoConvergenceError.
+    candidate is checked against every generator, which is to commute with the algebra
+    they generate; a miss raises NoConvergenceError.
     """
     basis, n = algebra.basis, algebra.ambient_dim
     norms = np.linalg.norm(basis, axis=(1, 2))
@@ -240,9 +267,9 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     psi_vr = (g.transpose(0, 2, 1, 3).reshape(n * n, n * k) @ kernel).reshape(n, n, -1)
     cands = (psi_vr / s[:, None]).transpose(2, 0, 1) @ u.T  # Psi V_r S^-1 U^T
     comm = orthonormal_rows(cands.reshape(-1, n * n), tol).reshape(-1, n, n)
-    if commutes(comm, basis, tol):
+    if commutes(comm, algebra.generators, tol):
         return comm
-    raise NoConvergenceError("commutant candidates fail to commute with a basis element")
+    raise NoConvergenceError("commutant candidates fail to commute with a generator")
 
 
 def d_frame(v: np.ndarray, units) -> np.ndarray:
@@ -362,9 +389,9 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     """Minimal rank of a nonzero element of a transitive algebra, cross-checked against
     the commutant dimension d.
 
-    A transitive algebra with commutant D is all of End_D(V): A's basis commutes with
-    D's units and dim A * d = n^2, or NotTransitiveError.  This is the one check of
-    A = End_D(V); ``classify`` counts End_D(V) as n^2 / d once it has passed.  Take any
+    A transitive algebra with commutant D is all of End_D(V): A's generators commute
+    with D's units (so A does) and dim A * d = n^2, or NotTransitiveError.  This is the
+    one check of A = End_D(V); ``classify`` counts End_D(V) as n^2 / d once it has passed.  Take any
     nonzero basis element T0 = U S V^T, z_1 = u_1 and x_1 = v_1 / s_1, so T0 x_1 = z_1.
     K is written down: the D-linear map that sends the frame vector x_i of
     ``_d_frame_inverse`` to x_1 and the other frame vectors to 0, i maximizing
@@ -376,7 +403,7 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
     expected = structure.commutant_dim
-    contained = commutes(algebra.basis, units, tol)
+    contained = commutes(algebra.generators, units, tol)
     inv = _d_frame_inverse(units, algebra.ambient_dim, tol)[1]
     if not contained or algebra.dim * expected != algebra.ambient_dim ** 2:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")

@@ -138,7 +138,7 @@ class IsoVerdict:
 
     verdict: str
     p: Optional[int] = None
-    witness: Optional[tuple] = None  # (n, m, direction)
+    witness: Optional[tuple[int, int, str]] = None  # (n, m, direction)
     p_max: int = 0
     horizon: int = 0
 

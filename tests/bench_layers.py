@@ -8,10 +8,11 @@ The file name keeps these cases out of the default test run.  Run them with
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q tests/bench_layers.py \
         --benchmark-json BENCH_<name>.json
 
-Inputs are two generators of M_m(C) on R^(2m) or M_m(H) on R^(4m), or of M_16(R),
-conjugated by a similarity of condition 100 (``default_rng(0)``).  The
-``generate_algebra`` case times the closure of those two generators and the identity;
-the others take the closed algebra and, where they need it, its recognized structure.
+Inputs are two generators of M_m(C) on R^(2m) or M_m(H) on R^(4m), or of M_8(R) or
+M_16(R), on R^8, R^16 or R^32 and conjugated by a similarity of condition 100
+(``default_rng(0)``).  The ``generate_algebra`` case times the closure of those two
+generators and the identity; the others take the closed algebra and, where they need
+it, its recognized structure.
 The rejection case gives ``is_transitive`` the block upper-triangular algebra with
 diagonal blocks of n/2, conjugated the same way, so it times the commutant, the count
 and the witness.  Each of these cases times three rounds of one call.  The ranges
@@ -38,8 +39,8 @@ from lomlab.division import embed_complex, embed_quaternion
 from lomlab.engine import commutant, generate_algebra, is_transitive, min_rank
 from lomlab.ranges import check_isomorphism
 
-CASES = [("Complex", 16), ("Complex", 32), ("Quaternion", 16), ("Quaternion", 32),
-         ("Real", 16)]
+CASES = [("Complex", 8), ("Complex", 16), ("Complex", 32), ("Quaternion", 8),
+         ("Quaternion", 16), ("Quaternion", 32), ("Real", 8), ("Real", 16)]
 
 
 D_DIM = {"Real": 1, "Complex": 2, "Quaternion": 4}

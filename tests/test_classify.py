@@ -26,6 +26,7 @@ from lomlab.division import (
     left_mult_matrix,
 )
 from lomlab.engine import (
+    MatrixAlgebra,
     _d_frame_inverse,
     commutant,
     commutes,
@@ -34,7 +35,7 @@ from lomlab.engine import (
     strict_interpolate,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError
-from lomlab.numeric import solve_least_squares
+from lomlab.numeric import DEFAULT_TOL, solve_least_squares
 
 # The module, not the function of the same name that the package exports.
 classify_module = importlib.import_module("lomlab.classify")
@@ -415,15 +416,17 @@ def test_containment_fails_for_a_unit_the_input_does_not_commute_with(monkeypatc
 
 
 def test_classify_computes_containment_and_the_frame_once():
-    # min_rank's one containment check and one D-frame certify A = End_D(V), which
-    # envelope_dim counts; the commutant certificate's own check is the other commutes call
+    # min_rank's one containment check, on the generators, and one D-frame certify
+    # A = End_D(V), which envelope_dim counts; the commutant certificate's own check,
+    # its candidates against the generators, is the other commutes call
     alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
     with mock.patch.object(engine_module, "_d_frame_inverse", wraps=_d_frame_inverse) as frame, \
             mock.patch.object(engine_module, "commutes", wraps=commutes) as check:
         report = classify(alg, density_trials=5)
     assert report.min_rank == 4 and report.envelope_dim * 4 == alg.ambient_dim ** 2
     assert frame.call_count == 1
-    assert [call.args[0] is alg.basis for call in check.call_args_list].count(True) == 1
+    assert [call.args[0] is alg.generators for call in check.call_args_list].count(True) == 1
+    assert not any(arg is alg.basis for call in check.call_args_list for arg in call.args)
 
 
 def test_classify_integers_similarity_invariant():
@@ -453,3 +456,76 @@ def test_interpolation_budgets_for_conditioning():
     report = classify(alg)
     assert report.type is AlgebraType.COMPLEX
     assert report.min_rank == report.density_degree == 2
+
+
+def svd_calls(fn, *args):
+    """The argument shapes of the ``np.linalg.svd`` calls that ``fn(*args)`` makes."""
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as spy:
+        fn(*args)
+    return [call.args[0].shape for call in spy.call_args_list]
+
+
+def test_classify_reads_the_generated_span_instead_of_factoring_it():
+    # the closure's rows are the span density projects onto: classify of this M_2(H)
+    # makes 9 SVDs, one fewer than when density factored the basis again, and density
+    # itself only factors W and solves the obstruction witness's least squares
+    alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
+    n, structure = alg.ambient_dim, is_transitive(alg).structure
+    assert len(svd_calls(classify, alg)) == 9
+    assert svd_calls(density_degree, alg, structure) == [(n, n), (2 * n, alg.dim)]
+    real = planted_algebra(np.random.default_rng(2), "Real", max_ambient=8, cond=10.0)
+    assert svd_calls(density_degree, real, is_transitive(real).structure) == []
+
+
+def test_explicit_basis_factors_its_span_once():
+    # the span is the one SVD of a (dim, n^2) matrix across validate and classify
+    alg = planted_algebra(np.random.default_rng(2), "Complex", max_ambient=8, cond=10.0)
+    explicit = MatrixAlgebra(alg.ambient_dim, alg.basis, alg.unital)
+    shape = (alg.dim, alg.ambient_dim ** 2)
+    assert svd_calls(lambda: (explicit.validate(), classify(explicit))).count(shape) == 1
+    assert explicit.span.shape == shape
+
+
+@pytest.mark.parametrize("kind", ["Real", "Complex", "Quaternion"])
+@pytest.mark.parametrize("kappa", [1.0, 100.0, 1e3])
+def test_generated_and_explicit_basis_paths_agree(kind, kappa):
+    # generate_algebra hands over its span and its generators; the same basis given
+    # explicitly factors its span and has the basis as its generators
+    alg = planted_algebra(np.random.default_rng(5), kind, max_ambient=8, cond=kappa)
+    reports = [classify(a) for a in (alg, MatrixAlgebra(alg.ambient_dim, alg.basis, alg.unital))]
+    facts = [(r.type, r.commutant_dim, r.min_rank, r.density_degree, r.envelope_dim,
+              None if r.density_witness is None else r.density_witness.margin)
+             for r in reports]
+    assert facts[0] == facts[1]
+    assert facts[0][0] is AlgebraType[kind.upper()]
+
+
+def noisy_planted_generators(kind, n, kappa, seed, eta):
+    """Two generators of M_(n/2)(C) or M_(n/4)(H) on R^n from ``default_rng(seed)``,
+    conjugated by a similarity of condition ``kappa``, each g moved to
+    g + eta ||g|| N(0, 1) / n with the noise from ``default_rng(1000 + seed)``."""
+    rng = np.random.default_rng(seed)
+    if kind == "Complex":
+        m = n // 2
+        gens = [embed_complex(rng.standard_normal((m, m)), rng.standard_normal((m, m)))
+                for _ in range(2)]
+    else:
+        m = n // 4
+        gens = [embed_quaternion([[random_quaternion(rng) for _ in range(m)]
+                                  for _ in range(m)]) for _ in range(2)]
+    p = random_similarity(rng, n, kappa)
+    pinv = np.linalg.inv(p)
+    noise = np.random.default_rng(1000 + seed)
+    return [g + eta * np.linalg.norm(g) * noise.standard_normal((n, n)) / n
+            for g in [p @ g @ pinv for g in gens]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+@pytest.mark.parametrize("kind, n, kappa", [("Complex", 8, 100.0), ("Complex", 16, 1.0),
+                                            ("Quaternion", 8, 100.0), ("Quaternion", 16, 100.0)])
+def test_noise_below_the_tolerance_keeps_the_type(kind, n, kappa):
+    # noise of rel_eps / 10 per generator: the closure takes it into new directions and
+    # reaches all of M_n(R), so each of these reads Real today
+    eta = DEFAULT_TOL.rel_eps / 10
+    alg = generate_algebra(noisy_planted_generators(kind, n, kappa, 0, eta), include_identity=True)
+    assert classify_type(alg) is AlgebraType[kind.upper()]

@@ -120,6 +120,48 @@ def test_basis_is_one_read_only_array():
     assert from_array.basis[0, 0, 0] == 1.0
 
 
+def test_generated_algebra_keeps_its_rows_as_span_and_its_scaled_inputs_as_generators():
+    gens = [3.0 * J2, np.zeros((2, 2)), np.diag([1.0, 2.0])]
+    alg = generate_algebra(gens, include_identity=True)
+    assert alg.dim == 4 and np.shares_memory(alg.span, alg.basis)
+    assert np.array_equal(alg.span, alg.vec_basis())
+    assert np.allclose(alg.span @ alg.span.T, np.eye(4), atol=1e-15)
+    # the zero input is dropped, the others are scaled to unit norm
+    assert np.allclose(alg.generators, [J2 / np.sqrt(2), np.diag([1.0, 2.0]) / np.sqrt(5)])
+    for stored in (alg.span, alg.generators):
+        with pytest.raises(ValueError):
+            stored[0, 0] = 5.0
+    assert generate_algebra([np.zeros((3, 3))], include_identity=False).generators.shape \
+        == (0, 3, 3)
+
+
+def test_explicit_basis_generates_itself_and_factors_its_span_on_first_read():
+    alg = MatrixAlgebra(2, (np.eye(2), 2.0 * J2), unital=True)
+    assert alg.generators is alg.basis
+    with mock.patch.object(engine, "orthonormal_rows", wraps=engine.orthonormal_rows) as rows:
+        assert alg.span is alg.span
+    assert rows.call_count == 1
+    assert np.allclose(alg.span @ alg.span.T, np.eye(2)) and not alg.span.flags.writeable
+    assert MatrixAlgebra(3, (), unital=False).span.shape == (0, 9)
+
+
+def test_transitivity_reports_compare_by_identity():
+    # two reports on one closure of a conjugated M_2(C): DivisionStructure holds its
+    # units and TransitivityReport a witness in tuples of arrays
+    rng = np.random.default_rng(0)
+    p = random_similarity(rng, 4, 10.0)
+    gens = [p @ embed_complex(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+            @ np.linalg.inv(p) for _ in range(2)]
+    alg = generate_algebra(gens, include_identity=True)
+    a, b = is_transitive(alg), is_transitive(alg)
+    assert a.structure.commutant_dim == 2
+    for x, y in ((a, b), (a.structure, b.structure)):
+        assert x == x and x != y and not x == y
+        assert hash(x) == hash(x) and len({x, y, x}) == 2
+    reject = is_transitive(conjugated_reducible_algebra("triangular", 4, 2, np.eye(4))[1])
+    assert reject.witness is not None and reject == reject and reject != a
+
+
 def test_zero_algebra_basis_has_shape_0_n_n():
     assert generate_algebra([np.zeros((3, 3))], include_identity=False).basis.shape == (0, 3, 3)
     assert MatrixAlgebra(3, (), unital=False).basis.shape == (0, 3, 3)

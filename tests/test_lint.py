@@ -4,7 +4,8 @@ Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
 from one class; every kernel is cut in one place, ``numeric.nullspace_of``, and
-every span is complemented in one place, ``numeric.orthonormal_rows``.
+every span is complemented in one place, ``numeric.orthonormal_rows``, and an
+algebra's orthonormal span is factored in one place, ``engine.MatrixAlgebra``.
 An algebra's commutant is computed in ``engine`` only, by the transitivity
 certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
@@ -12,7 +13,8 @@ instance field into a ``ParseError`` in one guard, ``cli._malformed``.
 ``scipy`` and ``mpmath`` are imported only inside the functions that call them,
 never at module level, and every imported name, in the tests too, is read or
 exported.  No function takes a private (underscore) parameter, and a frozen
-dataclass with an ``np.ndarray`` field compares by identity (``eq=False``).
+dataclass with a field that may hold an ``np.ndarray`` compares by identity
+(``eq=False``).
 """
 
 import ast
@@ -106,6 +108,25 @@ def test_span_is_complemented_only_in_orthonormal_rows():
         and [getattr(arg, "value", None) for arg in node.iter.args] == [2]
         and (name, function) != ("numeric.py", "orthonormal_rows")
     ]
+    assert not offenders, offenders
+
+
+def test_algebra_span_is_factored_only_in_matrix_algebra():
+    # MatrixAlgebra.span is the algebra's orthonormal span: generate_algebra hands over the
+    # rows it built and an explicit basis factors it once; orthonormal_rows(vec_basis())
+    # anywhere else would factor it again
+    offenders = []
+    for name, tree in modules():
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "MatrixAlgebra"
+                  for node in ast.walk(cls)}
+        offenders += [
+            f"{name}:{call.lineno} in {function}"
+            for function, call in calls(tree)
+            if dotted(call.func).split(".")[-1] == "orthonormal_rows" and id(call) not in inside
+            and any(isinstance(node, ast.Call) and dotted(node.func).split(".")[-1] == "vec_basis"
+                    for node in ast.walk(call))
+        ]
     assert not offenders, offenders
 
 
@@ -235,10 +256,21 @@ def test_no_function_takes_a_private_parameter():
     assert not offenders, offenders
 
 
+def may_hold_an_array(annotation):
+    """Whether a field annotation names ``np.ndarray``, or a bare ``tuple`` or ``list``,
+    which does not say what its items are; ``tuple[int, int, str]`` says so."""
+    subscripted = {id(node.value) for node in ast.walk(annotation)
+                   if isinstance(node, ast.Subscript)}
+    return any(dotted(part) == "np.ndarray"
+               or (isinstance(part, ast.Name) and part.id in ("tuple", "list")
+                   and id(part) not in subscripted)
+               for part in ast.walk(annotation))
+
+
 def test_array_holding_dataclasses_compare_by_identity():
     # a generated __eq__ compares an np.ndarray field with ==, whose array result has no
-    # truth value, and the generated __hash__ hashes it: a frozen dataclass holding one
-    # says eq=False, so == and hash are by identity
+    # truth value, and the generated __hash__ hashes it: a frozen dataclass that may hold
+    # one, directly or in a tuple or list, says eq=False, so == and hash are by identity
     offenders = []
     for name, tree in modules():
         for node in ast.walk(tree):
@@ -252,8 +284,7 @@ def test_array_holding_dataclasses_compare_by_identity():
                 if not (isinstance(frozen, ast.Constant) and frozen.value is True) or (
                         isinstance(eq, ast.Constant) and eq.value is False):
                     continue
-                if any(isinstance(field, ast.AnnAssign) and "np.ndarray" in {
-                        dotted(part) for part in ast.walk(field.annotation)}
+                if any(isinstance(field, ast.AnnAssign) and may_hold_an_array(field.annotation)
                        for field in node.body):
                     offenders.append(f"{name}:{node.lineno} {node.name}")
     assert not offenders, offenders
