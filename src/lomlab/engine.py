@@ -176,8 +176,8 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
     Semi-naive breadth-first expansion, append-only: each round multiplies only
     the rows the previous round appended by the generators, and appends what the
-    products add to the span (``orthonormal_rows(..., against=span)``).  No
-    accepted row is factored again.  It stops when a round adds nothing or the
+    products, unscaled, add to the span (``orthonormal_rows(..., against=span)``).
+    No accepted row is factored again.  It stops when a round adds nothing or the
     span is all of M_n.  The algebra keeps those rows as its basis and its ``span``,
     and the generators scaled to unit norm (zero ones dropped) as its ``generators``.
     """
@@ -188,8 +188,8 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
     if any(m.shape != (n, n) for m in mats):
         raise ShapeMismatchError("generators must all be square of equal size")
 
-    # Scale-normalize generators; this changes nothing about the generated
-    # algebra but keeps long words from overflowing the rank cutoffs.
+    # Unit generators weigh alike in the cut; orthonormal rows keep words from growing.
+    # A product r g is cut unscaled: its rounding is ~u ||r|| ||g|| whatever ||r g||.
     norms = np.array([np.linalg.norm(m) for m in mats])
     gens = np.stack(mats)[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None, None]
     words = gens.reshape(-1, n * n)
@@ -197,10 +197,8 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
         words = np.vstack([words, np.eye(n).reshape(1, -1) / math.sqrt(n)])
     span = new = orthonormal_rows(words, tol)
     while len(new) and len(span) < n * n:
-        cand = (new.reshape(-1, 1, n, n) @ gens).reshape(-1, n * n)
-        norms = np.linalg.norm(cand, axis=1)
-        cand = cand[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None]
-        new = orthonormal_rows(cand, tol, against=span)
+        new = orthonormal_rows((new.reshape(-1, 1, n, n) @ gens).reshape(-1, n * n), tol,
+                               against=span)
         span = np.vstack([span, new])
 
     eye = np.eye(n).reshape(-1)

@@ -15,10 +15,13 @@ generators and the identity; the others take the closed algebra and, where they 
 it, its recognized structure.
 The rejection case gives ``is_transitive`` the block upper-triangular algebra with
 diagonal blocks of n/2, conjugated the same way, so it times the commutant, the count
-and the witness.  Each of these cases times three rounds of one call.  The ranges
-case parses both sequence specs of the shipped ``ranges_power23`` instance with
-``sequence_from_json`` and checks them with ``check_isomorphism``; it takes well under
-a millisecond, so it times 100 rounds of 10 calls.  Three cases run a shipped payload
+and the witness.  Each of these cases makes two untimed calls, a warm-up and a probe,
+then times rounds of 10 calls if the probe took under a millisecond, else of one call,
+as many rounds as fill about a second (at least 3, at most 50), so a sub-millisecond
+case's median is not one call's noise.  The ranges case parses both sequence specs of
+the shipped ``ranges_power23`` instance with ``sequence_from_json`` and checks them
+with ``check_isomorphism``; it takes well under a millisecond, so it times 100 rounds
+of 10 calls.  Three cases run a shipped payload
 through ``run_instance``, each for 100 rounds of 10 calls: ``rep_twisted`` builds a
 quaternion group representation with two twists, twists it on a pair and validates it;
 ``pair_tilted`` builds the partial complex structure of a tilted generic pair and
@@ -28,6 +31,7 @@ BLAS thread setting.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -76,44 +80,52 @@ def machine(benchmark):
                                                           "unset (OpenBLAS default)")
 
 
+def timed(benchmark, fn, *args):
+    """``fn(*args)`` timed after two untimed calls, the first a warm-up (imports, caches):
+    rounds of 10 calls if the second took under 1 ms, else of one, about a second of
+    them, at least 3 and at most 50."""
+    machine(benchmark)
+    fn(*args)
+    start = time.perf_counter()
+    fn(*args)
+    once = time.perf_counter() - start
+    iterations = 10 if once < 1e-3 else 1
+    rounds = min(50, max(3, int(1.0 / (once * iterations))))
+    return benchmark.pedantic(fn, args=args, rounds=rounds, iterations=iterations)
+
+
 @pytest.mark.parametrize("kind, n", CASES)
 def test_generate_algebra(benchmark, kind, n):
     gens = conjugated_generators(kind, n)
-    machine(benchmark)
-    alg = benchmark.pedantic(generate_algebra, args=(gens, True), rounds=3, iterations=1)
+    alg = timed(benchmark, generate_algebra, gens, True)
     assert alg.dim * D_DIM[kind] == n * n
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_commutant(benchmark, kind, n):
     alg, _ = planted(kind, n)
-    machine(benchmark)
-    comm = benchmark.pedantic(commutant, args=(alg,), rounds=3, iterations=1)
+    comm = timed(benchmark, commutant, alg)
     assert len(comm) == D_DIM[kind]
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_density_degree(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    machine(benchmark)
-    degree, _ = benchmark.pedantic(density_degree, args=(alg, structure), rounds=3,
-                                   iterations=1)
+    degree, _ = timed(benchmark, density_degree, alg, structure)
     assert degree == D_DIM[kind]
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_envelope(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    machine(benchmark)
-    env = benchmark.pedantic(envelope, args=(alg, structure), rounds=3, iterations=1)
+    env = timed(benchmark, envelope, alg, structure)
     assert env.dim * structure.commutant_dim == n * n
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_classify(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    machine(benchmark)
-    report = benchmark.pedantic(classify, args=(alg,), rounds=3, iterations=1)
+    report = timed(benchmark, classify, alg)
     assert report.type is structure.type
     assert report.envelope_dim * structure.commutant_dim == n * n
 
@@ -121,8 +133,7 @@ def test_classify(benchmark, kind, n):
 @pytest.mark.parametrize("kind, n", CASES)
 def test_min_rank(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    machine(benchmark)
-    rank = benchmark.pedantic(min_rank, args=(alg, structure), rounds=3, iterations=1)
+    rank = timed(benchmark, min_rank, alg, structure)
     assert rank == structure.commutant_dim
 
 
@@ -130,8 +141,7 @@ def test_min_rank(benchmark, kind, n):
 def test_is_transitive_rejects(benchmark, n):
     _, alg = conjugated_reducible_algebra("triangular", n, n // 2,
                                           random_similarity(np.random.default_rng(0), n, 100.0))
-    machine(benchmark)
-    report = benchmark.pedantic(is_transitive, args=(alg,), rounds=3, iterations=1)
+    report = timed(benchmark, is_transitive, alg)
     assert not report.transitive and report.witness[1].shape == (n, n // 2)
 
 

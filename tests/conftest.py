@@ -102,6 +102,19 @@ def conjugated_reducible_algebra(kind, n, split, p):
     return conjugated_span(units, p)
 
 
+def conjugated_triangular_pair(n, k, log_kappa, eps, seed):
+    """Two Gaussians with a zero lower-left (n - k) x k block, the first one's then set to
+    eps N(0, 1), conjugated by a similarity of condition 10^log_kappa; with eps = 0 the
+    image of span(e_1..e_k) is invariant."""
+    rng = np.random.default_rng(seed)
+    gens = [rng.standard_normal((n, n)) for _ in range(2)]
+    for g in gens:
+        g[k:, :k] = 0.0
+    gens[0][k:, :k] = eps * rng.standard_normal((n - k, k))
+    p = random_similarity(rng, n, 10.0 ** log_kappa)
+    return [p @ g @ np.linalg.inv(p) for g in gens]
+
+
 def conjugated_span(units, p):
     """The matrices p u p^-1 over ``units``, and the algebra they span with an
     orthonormal basis, as generate_algebra returns it but with no closure rounds."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     conjugated_reducible_algebra,
     conjugated_span,
+    conjugated_triangular_pair,
     planted_algebra,
     random_quaternion,
     random_similarity,
@@ -529,3 +530,37 @@ def test_noise_below_the_tolerance_keeps_the_type(kind, n, kappa):
     eta = DEFAULT_TOL.rel_eps / 10
     alg = generate_algebra(noisy_planted_generators(kind, n, kappa, 0, eta), include_identity=True)
     assert classify_type(alg) is AlgebraType[kind.upper()]
+
+
+# derandomized: about 1 draw in 1,000 at eps = 1e-12 reads Real, pinned by the xfail below
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 8), k=st.integers(1, 7), log_kappa=st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("eps", [1e-4, 1e-12])
+def test_near_reducible_pairs_are_real_far_above_the_cut_and_reducible_far_below(
+        eps, n, k, log_kappa, seed):
+    # eps = 1e-4 is far above the closure's cut (rel_eps), so the algebra is M_n(R);
+    # eps = 1e-12 is far below it, and within what the witness's leak check allows
+    k = 1 + (k - 1) % (n - 1)
+    gens = conjugated_triangular_pair(n, k, log_kappa, eps, seed)
+    alg = generate_algebra(gens, include_identity=True)
+    if eps > DEFAULT_TOL.rel_eps:
+        assert classify_type(alg) is AlgebraType.REAL
+        return
+    with pytest.raises(NotTransitiveError) as exc:
+        classify_type(alg)
+    _, w = exc.value.witness
+    for g in gens:
+        assert np.linalg.norm(g @ w - w @ (w.T @ g @ w)) <= 1e-6 * np.linalg.norm(g)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+@pytest.mark.parametrize("n, k, log_kappa, seed", [(4, 2, 0.08860584123652271, 60088),
+                                                   (3, 2, 1.6679853145214714, 18971)])
+def test_a_near_reducible_pair_far_below_the_cut_is_not_transitive(n, k, log_kappa, seed):
+    # a generator conditioned 1e3 to 5e3: the closure accepts a row from a residual of
+    # about 1e-4, so the row's rounding and the leak are magnified 1e4 times, and the
+    # next round's products carry them over the cut to all of M_n(R)
+    gens = conjugated_triangular_pair(n, k, log_kappa, 1e-12, seed)
+    alg = generate_algebra(gens, include_identity=True)
+    assert not is_transitive(alg).transitive

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     conjugated_reducible_algebra,
+    conjugated_triangular_pair,
     greedy_oracle,
     kronecker_commutant,
     planted_algebra,
@@ -243,26 +244,32 @@ def test_closure_of_a_conjugated_complex_algebra_keeps_its_type():
 
 
 def test_closure_factors_only_the_rows_the_last_round_added(monkeypatch):
-    svd_rows, added = [], []
+    svd_rows, given, added = [], [], []
     real_svd, real_rows = numeric.svd, engine.orthonormal_rows
 
     def spied_svd(a, *args, **kwargs):
         svd_rows.append(len(a))
         return real_svd(a, *args, **kwargs)
 
-    def spied_rows(*args, **kwargs):
-        out = real_rows(*args, **kwargs)
-        added.append(len(out))
+    def spied_rows(m, *args, **kwargs):
+        out = real_rows(m, *args, **kwargs)
+        given.append(np.array(m))
+        added.append(out)
         return out
 
     monkeypatch.setattr(numeric, "svd", spied_svd)
     monkeypatch.setattr(engine, "orthonormal_rows", spied_rows)
     rng = np.random.default_rng(4)
     gens = [rng.standard_normal((12, 12)) for _ in range(2)]
-    assert generate_algebra(gens, include_identity=True).dim == 144 == sum(added)
+    alg = generate_algebra(gens, include_identity=True)
+    assert alg.dim == 144 == sum(map(len, added))
     assert len(svd_rows) == len(added)  # one SVD a round, none of the whole span
-    # after the seed, each SVD sees only the products of the previous round's rows
-    assert all(rows <= len(gens) * prev for rows, prev in zip(svd_rows[1:], added))
+    # after the seed, each round hands over the products of the previous round's rows
+    # by the generators as they are: every one, none rescaled
+    for rows, prev in zip(given[1:], added):
+        products = {(r.reshape(12, 12) @ g).tobytes() for r in prev for g in alg.generators}
+        assert len(rows) == len(gens) * len(prev)
+        assert {row.tobytes() for row in rows} == products
 
 
 # --- commutant ---------------------------------------------------------------
@@ -457,15 +464,31 @@ def test_d_linear_maps_match_the_kronecker_oracle(kind, size, log_kappa, twist, 
     assert span_gap(maps, oracle) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="the closure keeps a rounding direction (ROADMAP item 5)")
 def test_closure_of_a_conjugated_complex_m2_has_dimension_8():
-    # planted M_2(C) on R^4 conjugated at kappa 10^2.82 (rng 15092): the closure's span
-    # takes a rounded direction and reaches all of M_4(R), dimension 16
+    # planted M_2(C) on R^4 conjugated at kappa 10^2.82 (rng 15092): a closure that
+    # rescaled each product to unit norm before its cut lifted a short product's
+    # rounding over it, and reached all of M_4(R), dimension 16
     rng = np.random.default_rng(15092)
     gens, n = planted_generators(rng, "Complex", 8)
     p = random_similarity(rng, n, 10.0 ** 2.8233631818011546)
     alg = generate_algebra([p @ g @ np.linalg.inv(p) for g in gens], include_identity=True)
     assert (n, alg.dim) == (4, 8)
+
+
+@pytest.mark.parametrize("n, k, log_kappa, seed", [(4, 2, 2.31, 21014), (6, 5, 2.57, 46649),
+                                                   (6, 1, 2.68, 32755)])
+def test_closure_of_a_conjugated_triangular_pair_keeps_its_invariant_subspace(n, k, log_kappa,
+                                                                             seed):
+    # kappa 204 to 479: a closure that rescaled each product to unit norm reached all of
+    # M_n(R) here, and the input was called transitive
+    gens = conjugated_triangular_pair(n, k, log_kappa, 0.0, seed)
+    alg = generate_algebra(gens, include_identity=True)
+    assert alg.dim == n * n - k * (n - k)
+    report = is_transitive(alg)
+    assert not report.transitive and report.witness is not None
+    w = report.witness[1]
+    leak = max(np.linalg.norm(g @ w - w @ (w.T @ g @ w)) / np.linalg.norm(g) for g in gens)
+    assert DEFAULT_TOL.leak_ok(leak, 1.0, n)
 
 
 def test_d_linear_maps_raise_on_units_of_no_division_algebra():

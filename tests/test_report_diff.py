@@ -95,3 +95,15 @@ def test_unreadable_file_exits_2(tmp_path):
                               capture_output=True, text=True, check=False)
         assert done.returncode == 2
         assert done.stderr.startswith("report_diff: ")
+
+
+def test_differing_fields_are_counted_without_their_list_indices(tmp_path):
+    new = copy.deepcopy(SUMMARY)
+    for item in new["entries"]:
+        item["report"]["error"]["witness"]["subspace"]["entries"] = [0.0, -1.0]
+    new["total"] = 3
+    done = run(tmp_path, SUMMARY, new)
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert lines[-3:] == ["<summary>.total: 1", "report.error.witness.subspace.entries: 4",
+                          "report_diff: 5 difference(s) over 2 / 2 entries"]
