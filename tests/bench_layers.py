@@ -15,23 +15,22 @@ generators and the identity; the others take the closed algebra and, where they 
 it, its recognized structure.
 The rejection case gives ``is_transitive`` the block upper-triangular algebra with
 diagonal blocks of n/2, conjugated the same way, so it times the commutant, the count
-and the witness.  Each of these cases makes two untimed calls, a warm-up and a probe,
-then times rounds of 10 calls if the probe took under a millisecond, else of one call,
-as many rounds as fill about a second (at least 3, at most 50), so a sub-millisecond
-case's median is not one call's noise.  The ranges case parses both sequence specs of
-the shipped ``ranges_power23`` instance with ``sequence_from_json`` and checks them
-with ``check_isomorphism``; it takes well under a millisecond, so it times 100 rounds
-of 10 calls.  Three cases run a shipped payload
-through ``run_instance``, each for 100 rounds of 10 calls: ``rep_twisted`` builds a
-quaternion group representation with two twists, twists it on a pair and validates it;
-``pair_tilted`` builds the partial complex structure of a tilted generic pair and
-validates it; ``ranges_power23`` parses and checks the two sequences and re-verifies
-the witness at ``p_max``.  Every entry's ``extra_info`` records the CPU count and the
-BLAS thread setting.
+and the witness.  Each of these cases times 50 rounds of 10 calls at n <= 16, so a
+sub-millisecond case's median is not one call's noise, and 20 rounds of one call at
+n = 32, each after one untimed warm-up round; the warm-up leaves first-call costs out
+of the timings, such as a lazy ``scipy.linalg`` import on ``numeric.svd``'s retry.
+The ranges case parses both sequence specs of the shipped ``ranges_power23`` instance
+with ``sequence_from_json`` and checks them with ``check_isomorphism``; it takes well
+under a millisecond, so it times 100 rounds of 10 calls.  Three cases run a shipped
+payload through ``run_instance``, each for 100 rounds of 10 calls: ``rep_twisted``
+builds a quaternion group representation with two twists, twists it on a pair and
+validates it; ``pair_tilted`` builds the partial complex structure of a tilted generic
+pair and validates it; ``ranges_power23`` parses and checks the two sequences and
+re-verifies the witness at ``p_max``.  Every entry's ``extra_info`` records the CPU
+count and the BLAS thread setting.
 """
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -80,52 +79,47 @@ def machine(benchmark):
                                                           "unset (OpenBLAS default)")
 
 
-def timed(benchmark, fn, *args):
-    """``fn(*args)`` timed after two untimed calls, the first a warm-up (imports, caches):
-    rounds of 10 calls if the second took under 1 ms, else of one, about a second of
-    them, at least 3 and at most 50."""
+def timed(benchmark, n, fn, *args):
+    """``fn(*args)`` timed in 50 rounds of 10 calls at n <= 16 and 20 rounds of one call
+    at n = 32, after one untimed warm-up round."""
     machine(benchmark)
-    fn(*args)
-    start = time.perf_counter()
-    fn(*args)
-    once = time.perf_counter() - start
-    iterations = 10 if once < 1e-3 else 1
-    rounds = min(50, max(3, int(1.0 / (once * iterations))))
-    return benchmark.pedantic(fn, args=args, rounds=rounds, iterations=iterations)
+    rounds, iterations = (50, 10) if n <= 16 else (20, 1)
+    return benchmark.pedantic(fn, args=args, rounds=rounds, iterations=iterations,
+                              warmup_rounds=1)
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_generate_algebra(benchmark, kind, n):
     gens = conjugated_generators(kind, n)
-    alg = timed(benchmark, generate_algebra, gens, True)
+    alg = timed(benchmark, n, generate_algebra, gens, True)
     assert alg.dim * D_DIM[kind] == n * n
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_commutant(benchmark, kind, n):
     alg, _ = planted(kind, n)
-    comm = timed(benchmark, commutant, alg)
+    comm = timed(benchmark, n, commutant, alg)
     assert len(comm) == D_DIM[kind]
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_density_degree(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    degree, _ = timed(benchmark, density_degree, alg, structure)
+    degree, _ = timed(benchmark, n, density_degree, alg, structure)
     assert degree == D_DIM[kind]
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_envelope(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    env = timed(benchmark, envelope, alg, structure)
+    env = timed(benchmark, n, envelope, alg, structure)
     assert env.dim * structure.commutant_dim == n * n
 
 
 @pytest.mark.parametrize("kind, n", CASES)
 def test_classify(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    report = timed(benchmark, classify, alg)
+    report = timed(benchmark, n, classify, alg)
     assert report.type is structure.type
     assert report.envelope_dim * structure.commutant_dim == n * n
 
@@ -133,7 +127,7 @@ def test_classify(benchmark, kind, n):
 @pytest.mark.parametrize("kind, n", CASES)
 def test_min_rank(benchmark, kind, n):
     alg, structure = planted(kind, n)
-    rank = timed(benchmark, min_rank, alg, structure)
+    rank = timed(benchmark, n, min_rank, alg, structure)
     assert rank == structure.commutant_dim
 
 
@@ -141,7 +135,7 @@ def test_min_rank(benchmark, kind, n):
 def test_is_transitive_rejects(benchmark, n):
     _, alg = conjugated_reducible_algebra("triangular", n, n // 2,
                                           random_similarity(np.random.default_rng(0), n, 100.0))
-    report = timed(benchmark, is_transitive, alg)
+    report = timed(benchmark, n, is_transitive, alg)
     assert not report.transitive and report.witness[1].shape == (n, n // 2)
 
 

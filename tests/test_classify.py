@@ -564,3 +564,18 @@ def test_a_near_reducible_pair_far_below_the_cut_is_not_transitive(n, k, log_kap
     gens = conjugated_triangular_pair(n, k, log_kappa, 1e-12, seed)
     alg = generate_algebra(gens, include_identity=True)
     assert not is_transitive(alg).transitive
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP items 4 and 7")
+@pytest.mark.parametrize("n, k, log_kappa, seed", [(3, 1, 1.3840642417636784, 12609),
+                                                   (4, 1, 1.6326762076381514, 26279),
+                                                   (6, 1, 1.8558113694890488, 16085),
+                                                   (5, 1, 1.9018763911636996, 34046)])
+def test_a_near_reducible_pair_just_above_the_cut_is_rejected_only_with_a_witness(
+        n, k, log_kappa, seed):
+    # eps = 1e-6, an invariant line: each is called not transitive with no invariant
+    # subspace to show for it; a closure that rescaled each product to unit norm did so
+    # on the first and called the other three transitive
+    gens = conjugated_triangular_pair(n, k, log_kappa, 1e-6, seed)
+    report = is_transitive(generate_algebra(gens, include_identity=True))
+    assert report.transitive or report.witness is not None

@@ -264,8 +264,9 @@ def test_closure_factors_only_the_rows_the_last_round_added(monkeypatch):
     alg = generate_algebra(gens, include_identity=True)
     assert alg.dim == 144 == sum(map(len, added))
     assert len(svd_rows) == len(added)  # one SVD a round, none of the whole span
-    # after the seed, each round hands over the products of the previous round's rows
-    # by the generators as they are: every one, none rescaled
+    # after the seed, each SVD sees only the products of the previous round's rows
+    assert all(rows == len(gens) * len(prev) for rows, prev in zip(svd_rows[1:], added))
+    # and each round hands those products over as they are: every one, none rescaled
     for rows, prev in zip(given[1:], added):
         products = {(r.reshape(12, 12) @ g).tobytes() for r in prev for g in alg.generators}
         assert len(rows) == len(gens) * len(prev)
@@ -475,13 +476,8 @@ def test_closure_of_a_conjugated_complex_m2_has_dimension_8():
     assert (n, alg.dim) == (4, 8)
 
 
-@pytest.mark.parametrize("n, k, log_kappa, seed", [(4, 2, 2.31, 21014), (6, 5, 2.57, 46649),
-                                                   (6, 1, 2.68, 32755)])
-def test_closure_of_a_conjugated_triangular_pair_keeps_its_invariant_subspace(n, k, log_kappa,
-                                                                             seed):
-    # kappa 204 to 479: a closure that rescaled each product to unit norm reached all of
-    # M_n(R) here, and the input was called transitive
-    gens = conjugated_triangular_pair(n, k, log_kappa, 0.0, seed)
+def assert_closure_keeps_a_k_dimensional_invariant_subspace(gens, k):
+    n = len(gens[0])
     alg = generate_algebra(gens, include_identity=True)
     assert alg.dim == n * n - k * (n - k)
     report = is_transitive(alg)
@@ -489,6 +485,44 @@ def test_closure_of_a_conjugated_triangular_pair_keeps_its_invariant_subspace(n,
     w = report.witness[1]
     leak = max(np.linalg.norm(g @ w - w @ (w.T @ g @ w)) / np.linalg.norm(g) for g in gens)
     assert DEFAULT_TOL.leak_ok(leak, 1.0, n)
+
+
+ITEM_7 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+
+
+@pytest.mark.parametrize("n, k, log_kappa, seed", [
+    # kappa 204 to 479: a closure that rescaled each product to unit norm reached all of
+    # M_n(R) here, and the input was called transitive
+    (4, 2, 2.31, 21014), (6, 5, 2.57, 46649), (6, 1, 2.68, 32755),
+    # kappa 457 to 955, where the rescaling closure was right and the unscaled one is not:
+    # its span is inflated on the first, and it rejects the rest with no witness
+    *(pytest.param(*case, marks=ITEM_7) for case in [
+        (4, 3, 2.76, 49345), (5, 4, 2.95, 14513), (4, 3, 2.93, 50844), (8, 7, 2.98, 56101),
+        (4, 3, 2.66, 2541), (7, 6, 2.95, 9771), (8, 6, 2.9, 20036), (4, 2, 2.7, 7233),
+        # the rescaling closure found the right span but no witness; this one inflates it
+        (7, 6, 2.86, 61175), (5, 4, 2.68, 54445)]),
+])
+def test_closure_of_a_conjugated_triangular_pair_keeps_its_invariant_subspace(n, k, log_kappa,
+                                                                             seed):
+    gens = conjugated_triangular_pair(n, k, log_kappa, 0.0, seed)
+    assert_closure_keeps_a_k_dimensional_invariant_subspace(gens, k)
+
+
+@ITEM_7
+def test_closure_of_the_closure_sweeps_triangular_pair_keeps_its_invariant_subspace():
+    # input 3977 of the closure sweep at default_rng(6) (ROADMAP Recent): the lower-left
+    # 1 x 3 block zero, kappa 601; both closures, rescaling or not, give all of M_4(R)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 3342450300,
+        "state": {"state": 55027407309702871389769401065542404695,
+                  "inc": 48033170148846378449264849981880743275}}
+    gens = [rng.standard_normal((4, 4)) for _ in range(2)]
+    for g in gens:
+        g[3:, :3] = 0.0
+    p = random_similarity(rng, 4, 10.0 ** rng.uniform(0.0, 3.0))
+    assert_closure_keeps_a_k_dimensional_invariant_subspace(
+        [p @ g @ np.linalg.inv(p) for g in gens], 3)
 
 
 def test_d_linear_maps_raise_on_units_of_no_division_algebra():
