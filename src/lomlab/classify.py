@@ -186,10 +186,11 @@ def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
              density_trials: int = 25, seed: int = 0) -> ClassificationReport:
     """Full classification pipeline for a transitive algebra.
 
-    The commutant is computed and recognized once, by the transitivity
-    certificate.  ``min_rank`` checks once that A = End_D(V), raising
-    NotTransitiveError otherwise, so the envelope End_D(V) (the double commutant
-    A'' of a transitive A) is counted as n^2 / d without building it.
+    The commutant is computed and recognized at most once, by the transitivity
+    certificate, which reads M_n(R) off its count alone.  ``min_rank`` checks once
+    that A = End_D(V), raising NotTransitiveError otherwise, so the envelope End_D(V)
+    (the double commutant A'' of a transitive A) is counted as n^2 / d without
+    building it.
     """
     report = _certified(algebra, tol, seed)
     n, d = algebra.ambient_dim, report.structure.commutant_dim

@@ -17,7 +17,9 @@ of D's units, End_D(V), needs no solve: ``d_linear_maps`` writes its basis down
 from one D-frame of seeded vectors, ``min_rank`` writes its probe down from the same
 frame and is the one check that A = End_D(V) (A's generators commute with D's units
 and dim A * d = n^2), and a rejection's invariant subspace is a spun vector (Norton's
-irreducibility test).  No n^2 x n^2 system is built.
+irreducibility test).  No n^2 x n^2 system is built.  ``is_transitive`` solves a
+commutant only when dim A is n^2 / 2 or n^2 / 4: Burnside's count alone accepts a span
+of rank n^2 as M_n(R) and rejects a dim A that no D of dimension 1, 2 or 4 fits.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .division import DivisionStructure, frobenius_recognize
+from .division import AlgebraType, DivisionStructure, frobenius_recognize
 from .errors import (
     BadDimensionError,
     ClusterContainsZeroError,
@@ -162,9 +164,10 @@ class MatrixAlgebra:
 @dataclass(frozen=True, eq=False)
 class TransitivityReport:
     """Outcome of the Burnside count, with the recognized ``structure`` of the commutant
-    (None: no division algebra).  When not ``transitive``, ``witness`` is None or
-    ``(x, W)``, W orthonormal columns of a leak-checked proper invariant subspace; the
-    seed that steered its search is the caller's."""
+    (None: no division algebra, or a dim A that no D fits, so none was solved).  When
+    not ``transitive``, ``witness`` is None or ``(x, W)``, W orthonormal columns of a
+    leak-checked proper invariant subspace; the seed that steered its search is the
+    caller's."""
 
     transitive: bool
     witness: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -342,13 +345,23 @@ def is_transitive(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,
                   seed: int = 0) -> TransitivityReport:
     """Burnside's count: transitive exactly when the commutant is a division algebra D
     and dim A * dim D = n^2.  The verdict does not depend on ``seed``, which steers
-    only the witness search."""
-    try:
-        structure = frobenius_recognize(commutant(algebra, tol), tol)
-    except (BadDimensionError, NotAntiInvolutiveError):
-        structure = None
-    if structure is not None and algebra.dim * structure.commutant_dim == algebra.ambient_dim ** 2:
-        return TransitivityReport(True, None, structure)
+    only the witness search.
+
+    The count is read before anything is solved.  A span of rank n^2 is M_n(R), so D =
+    R; its rank is read, not ``dim`` alone, as an explicit basis may be dependent.  A
+    dim A with n^2 neither 2 dim A nor 4 dim A fits no D, so A is rejected with no
+    ``structure``.  Only dim A = n^2 / 2 or n^2 / 4 solves and recognizes the commutant."""
+    n2 = algebra.ambient_dim ** 2
+    if algebra.dim == n2 and len(algebra.span) == n2:
+        return TransitivityReport(True, None, DivisionStructure(AlgebraType.REAL, ()))
+    structure = None
+    if n2 in (2 * algebra.dim, 4 * algebra.dim):
+        try:
+            structure = frobenius_recognize(commutant(algebra, tol), tol)
+        except (BadDimensionError, NotAntiInvolutiveError):
+            pass
+        if structure is not None and algebra.dim * structure.commutant_dim == n2:
+            return TransitivityReport(True, None, structure)
     return TransitivityReport(False, _witness(algebra, tol, seed), structure)
 
 

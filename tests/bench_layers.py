@@ -13,9 +13,11 @@ M_16(R), on R^8, R^16 or R^32 and conjugated by a similarity of condition 100
 (``default_rng(0)``).  The ``generate_algebra`` case times the closure of those two
 generators and the identity; the others take the closed algebra and, where they need
 it, its recognized structure.
-The rejection case gives ``is_transitive`` the block upper-triangular algebra with
-diagonal blocks of n/2, conjugated the same way, so it times the commutant, the count
-and the witness.  Each of these cases times 50 rounds of 10 calls at n <= 16, so a
+The accept case gives ``is_transitive`` the closed algebra: for M_n(R) it times the
+count alone, for M_m(C) and M_m(H) the commutant, its recognition and the count.  The
+rejection case gives it the block upper-triangular algebra with diagonal blocks of
+n/2, conjugated the same way, whose dimension 3 n^2 / 4 no D fits, so it times the
+count and the witness.  Each of these cases times 50 rounds of 10 calls at n <= 16, so a
 sub-millisecond case's median is not one call's noise, and 20 rounds of one call at
 n = 32, each after one untimed warm-up round; the warm-up leaves first-call costs out
 of the timings, such as a lazy ``scipy.linalg`` import on ``numeric.svd``'s retry.
@@ -129,6 +131,13 @@ def test_min_rank(benchmark, kind, n):
     alg, structure = planted(kind, n)
     rank = timed(benchmark, n, min_rank, alg, structure)
     assert rank == structure.commutant_dim
+
+
+@pytest.mark.parametrize("kind, n", CASES)
+def test_is_transitive(benchmark, kind, n):
+    alg, structure = planted(kind, n)
+    report = timed(benchmark, n, is_transitive, alg)
+    assert report.transitive and report.structure.type is structure.type
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     conjugated_reducible_algebra,
     conjugated_triangular_pair,
+    corpus_algebra,
     greedy_oracle,
     kronecker_commutant,
     planted_algebra,
@@ -37,11 +38,13 @@ from lomlab.engine import (
     strict_interpolate,
 )
 from lomlab.errors import (
+    BadDimensionError,
     ClusterContainsZeroError,
     ClusterNotSeparatedError,
     NoConvergenceError,
     NoSolutionError,
     NonFiniteError,
+    NotAntiInvolutiveError,
     NotCommutativeError,
     NotTransitiveError,
     ShapeMismatchError,
@@ -605,6 +608,85 @@ def test_transitive_embedded_complex():
             for _ in range(2)]
     alg = generate_algebra(gens, include_identity=True)
     assert is_transitive(alg).transitive
+
+
+def count_solves(alg):
+    """``is_transitive(alg)`` and the number of ``commutant`` and ``frobenius_recognize``
+    calls it made."""
+    with mock.patch.object(engine, "commutant", wraps=engine.commutant) as comm, \
+            mock.patch.object(engine, "frobenius_recognize",
+                              wraps=engine.frobenius_recognize) as recognize:
+        report = is_transitive(alg)
+    return report, comm.call_count, recognize.call_count
+
+
+def test_the_count_solves_a_commutant_only_for_dimensions_n2_over_2_and_4(corpus):
+    full = corpus_algebra(corpus["full_m3_conj"])
+    report, comm, recognize = count_solves(full)
+    assert (full.dim, comm, recognize) == (9, 0, 0)
+    assert report.transitive and report.structure.type is AlgebraType.REAL
+    assert report.structure.units == () and report.witness is None
+    # dim 0, 3 of n^2 = 4 and 28 of 36: n^2 is neither 2 dim A nor 4 dim A
+    rejects = [MatrixAlgebra(3, (), unital=False), corpus_algebra(corpus["triangular"]),
+               conjugated_reducible_algebra(
+                   "triangular", 6, 2, random_similarity(np.random.default_rng(0), 6, 100.0))[1]]
+    assert [alg.dim for alg in rejects] == [0, 3, 28]
+    for alg in rejects:
+        report, comm, recognize = count_solves(alg)
+        assert (comm, recognize) == (0, 0)
+        assert not report.transitive and report.structure is None
+        w = report.witness[1]
+        imgs = alg.generators @ w
+        leak = np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2)), initial=0.0)
+        assert DEFAULT_TOL.leak_ok(leak, 1.0, alg.ambient_dim)
+    for name, kind in (("complex_m2_plain", AlgebraType.COMPLEX),
+                       ("quat_m2_plain", AlgebraType.QUATERNION)):
+        report, comm, recognize = count_solves(corpus_algebra(corpus[name]))
+        assert (comm, recognize) == (1, 1)
+        assert report.transitive and report.structure.type is kind
+
+
+def test_a_dependent_basis_of_length_n_squared_is_not_m_n():
+    # M_2(C) on R^4, its basis listed twice: dim 16 = n^2 but a span of rank 8, so the
+    # count must read the span's rank, not the basis length
+    rng = np.random.default_rng(0)
+    b = generate_algebra([embed_complex(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+                          for _ in range(2)], include_identity=True).basis
+    assert len(b) == 8
+    alg = MatrixAlgebra(4, np.concatenate([b, b]), unital=True)
+    assert alg.dim == 16 and len(alg.span) == 8
+    assert not is_transitive(alg).transitive
+
+
+def oracle_verdict(alg):
+    """Burnside's count from a solved and recognized commutant, with no shortcut:
+    ``(transitive, type)``, type None when not transitive."""
+    try:
+        structure = frobenius_recognize(commutant(alg))
+    except (BadDimensionError, NotAntiInvolutiveError):
+        return False, None
+    if alg.dim * structure.commutant_dim == alg.ambient_dim ** 2:
+        return True, structure.type
+    return False, None
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["Real", "Complex", "Quaternion", "triangular", "diagonal",
+                             "tensor"]),
+       n=st.integers(3, 8), split=st.integers(1, 7), log_kappa=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**16))
+def test_the_count_first_agrees_with_the_solved_commutant(kind, n, split, log_kappa, seed):
+    rng = np.random.default_rng(seed)
+    kappa = 10.0 ** log_kappa
+    if kind in ("Real", "Complex", "Quaternion"):
+        alg = planted_algebra(rng, kind, max_ambient=12, cond=kappa)
+    else:
+        n = 2 * ((n + 1) // 2) if kind == "tensor" else n
+        _, alg = conjugated_reducible_algebra(kind, n, 1 + (split - 1) % (n - 1),
+                                              random_similarity(rng, n, kappa))
+    report = is_transitive(alg)
+    assert (report.transitive, report.structure.type if report.transitive else None) \
+        == oracle_verdict(alg)
 
 
 @settings(max_examples=40, deadline=None)
