@@ -6,7 +6,8 @@ density degree.  This module computes all three, produces the interpolation
 obstruction witness for the non-real types, and builds the enveloping
 commutant algebra End_D(V) that contains the input.  A transitive A is all of
 End_D(V): ``engine.min_rank`` checks it for ``classify``, which then counts the
-envelope as n^2 / d, and ``envelope`` checks it the same way before it builds one.
+envelope as n^2 / d and reads density and its witness off D's units alone, and
+``envelope`` checks it the same way before it builds one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .engine import (
     strict_interpolate,
 )
 from .errors import NotTransitiveError
-from .numeric import DEFAULT_TOL, Tolerance, solve_least_squares, svd
+from .numeric import DEFAULT_TOL, Tolerance, svd
 
 __all__ = [
     "DensityObstruction",
@@ -42,11 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DensityObstruction:
-    """Certificate that one algebra element cannot separate x from its unit image.
+    """Certificate that no algebra element can separate x from its unit image.
 
-    No element T of the algebra can map x to 0 and ``unit_image`` (= W x for a
-    structure unit W) to ``target``: the normalized least-squares residual of
-    that interpolation system over the whole coefficient space is ``margin``.
+    No element T of End_D(V) = A can map x to 0 and ``unit_image`` (= W x for a
+    structure unit W) to ``target``: ``margin`` is the least residual
+    ||(T x, T W x - target)|| / ||target|| over all of End_D(V).
     """
 
     x: np.ndarray
@@ -79,50 +80,43 @@ def classify_type(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> Algeb
     return _certified(algebra, tol).structure.type
 
 
-def _obstruction_witness(algebra: MatrixAlgebra, structure: DivisionStructure,
-                         tol: Tolerance, seed: int) -> DensityObstruction:
-    """Build the infeasible pair (x, W x) with the largest normalized margin.
+def _obstruction_witness(w: np.ndarray, seed: int) -> DensityObstruction:
+    """The infeasible pair (x, W x) for the unit W, with its margin in closed form.
 
-    The target is chosen along the smallest singular direction of the unit W,
-    which keeps the margin at least 1/sqrt(2) no matter how badly conditioned
-    a similarity was applied to the algebra.
+    Every T in End_D(V) commutes with W and sends x to any y, so the least residual
+    of T x = 0, T W x = t over End_D(V) is min_y ||(y, W y - t)||.  With t the left
+    singular vector of W's smallest singular value s it is 1 / hypot(1, s).  W^2 = -I
+    pairs each singular value with its inverse, so s <= 1 and the margin is at least
+    1/sqrt(2) however badly conditioned a similarity was applied to the algebra.
     """
-    n = algebra.ambient_dim
-    w = structure.units[0]
-    u, _, _ = svd(w)
-    target = u[:, -1]  # left singular vector of the smallest singular value
+    u, s, _ = svd(w)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = rng.standard_normal(len(w))
     x /= np.linalg.norm(x)
-    wx = w @ x
-
-    system = np.vstack([(algebra.basis @ x).T, (algebra.basis @ wx).T])
-    rhs = np.concatenate([np.zeros(n), target])
-    _, residual = solve_least_squares(system, rhs, tol)
-    margin = residual / np.linalg.norm(target)
-    return DensityObstruction(x=x, unit_image=wx, target=target, margin=float(margin))
+    return DensityObstruction(x=x, unit_image=w @ x, target=u[:, -1],
+                              margin=float(1 / np.hypot(1, s[-1])))
 
 
-def _closed_form_residuals(algebra: MatrixAlgebra, units: list, xs: np.ndarray,
-                           ys: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _closed_form_residuals(units: list, xs: np.ndarray, ys: np.ndarray,
+                           tol: Tolerance) -> np.ndarray:
     """Worst residual max_i ||T x_i - y_i|| of each trial's D-linear interpolant:
     T^T = X_D^-1 Y_D over the rows x_i, U x_i, ... and y_i, U y_i, ... for the units
-    U, projected onto the algebra's ``span`` and refined once from the rows r_i, U r_i
-    of the residuals r_i = y_i - T x_i (Y_D - X_D T^T would put back the unit rows'
-    rounding).  Each trial's X_D is inverted once, for both.  Infinite where X_D has
-    no inverse."""
-    n, span = algebra.ambient_dim, algebra.span
+    U, refined once from the rows r_i, U r_i of the residuals r_i = y_i - T x_i
+    (Y_D - X_D T^T would put back the unit rows' rounding).  Each trial's X_D is
+    inverted once, for both.  Infinite for every trial where an X_D has no inverse or
+    an interpolant does not commute with the units."""
     try:
         x_d_inv = np.linalg.inv(d_frame(xs, units))
     except np.linalg.LinAlgError:  # X_D singular or not square: a structure that does not fit
         return np.full(len(xs), np.inf)
 
-    def interpolant(rows):  # T with T x_i = rows_i over D, projected onto the span
-        t = np.swapaxes(x_d_inv @ d_frame(rows, units), 1, 2).reshape(len(rows), -1)
-        return ((t @ span.T) @ span).reshape(-1, n, n)
+    def interpolant(rows):  # T with T x_i = rows_i over D
+        return np.swapaxes(x_d_inv @ d_frame(rows, units), 1, 2)
 
     t = interpolant(ys)
     t += interpolant(ys - xs @ np.swapaxes(t, 1, 2))
+    if not commutes(t, units, tol):
+        return np.full(len(xs), np.inf)
     return np.linalg.norm(ys - xs @ np.swapaxes(t, 1, 2), axis=2).max(axis=1)
 
 
@@ -130,15 +124,21 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
                    trials: int = 25, tol: Tolerance = DEFAULT_TOL, seed: int = 0):
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
 
+    Precondition: A commutes with D's units, which ``min_rank`` checks and ``classify``
+    calls first; with dim A * k = n^2, A is then End_D(V).  The witness's margin is a
+    minimum over End_D(V), which bounds A's only under this precondition.
+
     Verification: for ``trials`` seeded random instances, n/k random vectors must
-    interpolate onto n/k random targets exactly.  Each trial is interpolated by the
-    closed-form D-linear map Y_D X_D^-1 projected onto the algebra's stored ``span``,
-    all trials in one batch, each X_D inverted once.  Only a trial whose residual
-    misses the threshold is solved again by ``strict_interpolate`` on the same
-    vectors; its least-squares residual is the minimum over the algebra, so it
-    decides the trial and is what a failure reports.
-    A failure is raised for the first failing trial.  For k > 1 an infeasible
-    witness pair is produced as well.
+    interpolate onto n/k random targets exactly.  All trials are interpolated in one
+    batch by the D-linear maps Y_D X_D^-1, each X_D inverted once, which lie in
+    End_D(V) when they commute with the units.  So the trials test, from D's units
+    alone, that the seeded vectors are D-independent (X_D inverts) and that their
+    interpolant reaches the targets within ``interpolation_ok``.  A trial that misses,
+    and every trial when an interpolant does not commute or dim A * k != n^2, is
+    solved again by ``strict_interpolate`` on the same vectors; its least-squares
+    residual is the minimum over the algebra, so it decides the trial and is what a
+    failure reports, for the first failing trial.  For k > 1 the witness is read off
+    the first unit W alone.
 
     Returns ``(k, witness_or_None)``.
     """
@@ -153,15 +153,12 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     draws = rng.standard_normal((trials, 2 * n_targets, n))
     xs, targets = draws[:, :n_targets], draws[:, n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
-    worst = _closed_form_residuals(algebra, units, xs, targets, tol) if trials else np.zeros(0)
+    fits = trials and algebra.dim * k == n * n  # else every trial goes to least squares
+    worst = _closed_form_residuals(units, xs, targets, tol) if fits else np.full(trials, np.inf)
     hits = tol.interpolation_ok(worst, np.linalg.norm(targets, axis=2).max(axis=1))
     for trial in np.flatnonzero(~hits):  # least squares on the same vectors decides a miss
         strict_interpolate(algebra, list(zip(xs[trial], targets[trial])), tol)
-
-    witness = None
-    if k > 1:
-        witness = _obstruction_witness(algebra, structure, tol, seed)
-    return k, witness
+    return k, (_obstruction_witness(units[0], seed) if k > 1 else None)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,

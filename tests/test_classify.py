@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -157,18 +158,31 @@ def test_density_margin_survives_conjugation():
     assert witness.margin >= 0.1
 
 
-def test_density_witness_infeasibility_is_real():
-    # brute re-check: no algebra element comes close to the witness demands
-    rng = np.random.default_rng(6)
-    alg = embedded_complex_algebra(rng, 2)
-    structure = frobenius_recognize(commutant(alg))
-    _, witness = density_degree(alg, structure, trials=5)
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["Complex", "Quaternion"]), m=st.integers(1, 8),
+       log_kappa=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
+@example(kind="Complex", m=2, log_kappa=0.0, seed=6)
+def test_density_witness_infeasibility_is_real(kind, m, log_kappa, seed):
+    # brute re-check: no algebra element comes close to the witness demands.  The
+    # reference is the least squares over the algebra's basis, on M_m(D) on R^(km),
+    # ambient at most 16, conjugated by a similarity of condition 10^[0, 3]; the
+    # closed-form margin is the minimum over End_D(V) = A
+    alg = conjugated_full_algebra(kind, m, log_kappa, seed, max_ambient=16)
+    _, witness = density_degree(alg, is_transitive(alg).structure, trials=5, seed=seed)
     stack = alg.basis
     system = np.vstack([(stack @ witness.x).T, (stack @ witness.unit_image).T])
-    rhs = np.concatenate([np.zeros(4), witness.target])
+    rhs = np.concatenate([np.zeros(alg.ambient_dim), witness.target])
     _, residual = solve_least_squares(system, rhs)
-    assert residual == pytest.approx(witness.margin * np.linalg.norm(witness.target),
-                                     abs=1e-12)
+    assert abs(witness.margin - residual / np.linalg.norm(witness.target)) <= 1e-12
+    assert witness.margin >= 1 / np.sqrt(2) - 1e-12
+
+
+@pytest.mark.parametrize("name", ["complex_m2_conj", "quat_m1_conj"])
+def test_density_margin_does_not_depend_on_the_seed(corpus_algebras, name):
+    # the margin is W's alone; the seed draws only x and the trials
+    alg, _ = corpus_algebras[name]
+    margins = {classify(alg, seed=seed).density_witness.margin for seed in (0, 1, 7)}
+    assert len(margins) == 1
 
 
 def trial_by_trial_failure(algebra, structure, trials, seed=0):
@@ -226,6 +240,20 @@ DIVISION_BASES = {"Real": [np.eye(1)], "Complex": [np.eye(2), J2],
                   "Quaternion": [left_mult_matrix(Quaternion(*e)) for e in np.eye(4)]}
 
 
+def conjugated_full_algebra(kind, m, log_kappa, seed, max_ambient):
+    """M_m(D) on R^(km), m cut to fit ``max_ambient``, spanned by its matrix units
+    conjugated by a similarity of condition 10^log_kappa from ``default_rng(seed)``;
+    an exact orthonormal basis keeps the closure out of the tests."""
+    d_basis = DIVISION_BASES[kind]
+    k = len(d_basis)
+    m = min(m, max_ambient // k)
+    eye = np.eye(m)
+    units = [np.kron(np.outer(eye[i], eye[j]), u)
+             for i in range(m) for j in range(m) for u in d_basis]
+    rng = np.random.default_rng(seed)
+    return conjugated_span(units, random_similarity(rng, k * m, 10.0 ** log_kappa))[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(sorted(DIVISION_BASES)), m=st.integers(1, 8),
        log_kappa=st.floats(0.0, 3.0), seed=st.integers(0, 2**16))
@@ -234,15 +262,9 @@ DIVISION_BASES = {"Real": [np.eye(1)], "Complex": [np.eye(2), J2],
 @example(kind="Quaternion", m=2, log_kappa=1e-8, seed=0)
 def test_density_closed_form_decides_conjugated_full_algebras(kind, m, log_kappa, seed):
     # M_m(D) on R^(km), ambient at most 8, conjugated by a similarity of condition
-    # 10^[0, 3]; an exact orthonormal basis keeps the closure out of the test
-    d_basis = DIVISION_BASES[kind]
-    k = len(d_basis)
-    m = min(m, 8 // k)
-    eye = np.eye(m)
-    units = [np.kron(np.outer(eye[i], eye[j]), u)
-             for i in range(m) for j in range(m) for u in d_basis]
-    rng = np.random.default_rng(seed)
-    _, alg = conjugated_span(units, random_similarity(rng, k * m, 10.0 ** log_kappa))
+    # 10^[0, 3]
+    k = len(DIVISION_BASES[kind])
+    alg = conjugated_full_algebra(kind, m, log_kappa, seed, max_ambient=8)
     report = is_transitive(alg)
     assert report.transitive and report.structure.commutant_dim == k
     with least_squares_fallbacks() as fallbacks:
@@ -274,9 +296,9 @@ def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypa
     closed_form_residuals = classify_module._closed_form_residuals
     given = []
 
-    def miss_trials_2_and_4(algebra, units, xs, ys, tol):
+    def miss_trials_2_and_4(units, xs, ys, tol):
         given.append(xs)
-        worst = closed_form_residuals(algebra, units, xs, ys, tol)
+        worst = closed_form_residuals(units, xs, ys, tol)
         worst[[2, 4]] = np.inf
         return worst
 
@@ -466,14 +488,19 @@ def svd_calls(fn, *args):
     return [call.args[0].shape for call in spy.call_args_list]
 
 
-def test_classify_reads_the_generated_span_instead_of_factoring_it():
-    # the closure's rows are the span density projects onto: classify of this M_2(H)
-    # makes 9 SVDs, one fewer than when density factored the basis again, and density
-    # itself only factors W and solves the obstruction witness's least squares
+def test_classify_density_factors_only_w():
+    # density reads D's units alone: classify of this M_2(H) makes 8 SVDs, and density
+    # itself only factors W, for the obstruction witness; a stand-in with A's counts
+    # and neither basis nor span gives the same degree and witness
     alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
     n, structure = alg.ambient_dim, is_transitive(alg).structure
-    assert len(svd_calls(classify, alg)) == 9
-    assert svd_calls(density_degree, alg, structure) == [(n, n), (2 * n, alg.dim)]
+    assert len(svd_calls(classify, alg)) == 8
+    assert svd_calls(density_degree, alg, structure) == [(n, n)]
+    k, witness = density_degree(alg, structure)
+    counts = SimpleNamespace(ambient_dim=n, dim=alg.dim)
+    k_counts, witness_counts = density_degree(counts, structure)
+    assert k_counts == k and witness_counts.margin == witness.margin
+    assert np.array_equal(witness_counts.x, witness.x)
     real = planted_algebra(np.random.default_rng(2), "Real", max_ambient=8, cond=10.0)
     assert svd_calls(density_degree, real, is_transitive(real).structure) == []
 

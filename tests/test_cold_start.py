@@ -88,3 +88,21 @@ print(list(power_family(2.2, 50).dims[1:]))
 """)
     assert json.loads(out[0]) == list(power_family(2.2, 50).dims[1:])
     assert "mpmath" in loaded and not any(m.startswith("scipy") for m in loaded)
+
+
+def test_planted_quaternion_classify_runs_without_scipy():
+    # the M_8(H) on R^32 of bench_layers.py (condition 100, default_rng(0)) at one BLAS
+    # thread, as bench_layers.py is run: its obstruction witness once took
+    # numeric.svd's gesvd retry in a least squares over the algebra's basis
+    out, loaded = run_fresh(f"""
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, {str(SRC.parent / "tests")!r})
+from bench_layers import conjugated_generators
+from lomlab.classify import classify
+from lomlab.engine import generate_algebra
+alg = generate_algebra(conjugated_generators("Quaternion", 32), include_identity=True)
+print(classify(alg).density_degree)
+""")
+    assert out == ["4"]
+    assert loaded == []
