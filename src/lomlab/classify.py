@@ -5,9 +5,9 @@ the commutant dimension, the minimal rank of a nonzero element, and the
 density degree.  This module computes all three, produces the interpolation
 obstruction witness for the non-real types, and builds the enveloping
 commutant algebra End_D(V) that contains the input.  A transitive A is all of
-End_D(V): ``engine.min_rank`` checks it for ``classify``, which then counts the
-envelope as n^2 / d and reads density and its witness off D's units alone, and
-``envelope`` checks it the same way before it builds one.
+End_D(V): ``engine.min_rank`` checks it on the generators for ``classify``, which then
+counts the envelope as n^2 / d and reads density and its witness off D's units and
+dim A, and ``envelope`` checks it the same way; nothing here reads A's basis or span.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .engine import (
     d_linear_maps,
     is_transitive,
     min_rank,
-    strict_interpolate,
 )
 from .errors import NotTransitiveError
 from .numeric import DEFAULT_TOL, Tolerance, svd
@@ -125,25 +124,25 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     """Density degree k (the algebra is 1/k-dense) with an obstruction witness.
 
     Precondition: A commutes with D's units, which ``min_rank`` checks and ``classify``
-    calls first; with dim A * k = n^2, A is then End_D(V).  The witness's margin is a
-    minimum over End_D(V), which bounds A's only under this precondition.
+    calls first.  Density checks dim A * k = n^2 itself (NotTransitiveError otherwise),
+    so A is End_D(V), and the witness's margin, a minimum over End_D(V), is one over A.
 
     Verification: for ``trials`` seeded random instances, n/k random vectors must
     interpolate onto n/k random targets exactly.  All trials are interpolated in one
     batch by the D-linear maps Y_D X_D^-1, each X_D inverted once, which lie in
-    End_D(V) when they commute with the units.  So the trials test, from D's units
-    alone, that the seeded vectors are D-independent (X_D inverts) and that their
-    interpolant reaches the targets within ``interpolation_ok``.  A trial that misses,
-    and every trial when an interpolant does not commute or dim A * k != n^2, is
-    solved again by ``strict_interpolate`` on the same vectors; its least-squares
-    residual is the minimum over the algebra, so it decides the trial and is what a
-    failure reports, for the first failing trial.  For k > 1 the witness is read off
-    the first unit W alone.
+    End_D(V) = A when they commute with the units.  An invertible X_D fixes the
+    interpolant in End_D(V), so it is the only one in A and nothing is left to solve:
+    the trials test, from D's units alone, that the seeded vectors are D-independent
+    (X_D inverts) and that their interpolant reaches the targets within
+    ``interpolation_ok``.  The first trial that misses raises NoSolutionError with its
+    residual.  For k > 1 the witness is read off the first unit W alone.
 
     Returns ``(k, witness_or_None)``.
     """
     k = structure.commutant_dim
     n = algebra.ambient_dim
+    if algebra.dim * k != n * n:
+        raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
     units = list(structure.units)
     rng = np.random.default_rng(seed)
 
@@ -153,11 +152,11 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     draws = rng.standard_normal((trials, 2 * n_targets, n))
     xs, targets = draws[:, :n_targets], draws[:, n_targets:]
     targets = targets / np.linalg.norm(targets, axis=2, keepdims=True)
-    fits = trials and algebra.dim * k == n * n  # else every trial goes to least squares
-    worst = _closed_form_residuals(units, xs, targets, tol) if fits else np.full(trials, np.inf)
-    hits = tol.interpolation_ok(worst, np.linalg.norm(targets, axis=2).max(axis=1))
-    for trial in np.flatnonzero(~hits):  # least squares on the same vectors decides a miss
-        strict_interpolate(algebra, list(zip(xs[trial], targets[trial])), tol)
+    worst = _closed_form_residuals(units, xs, targets, tol)
+    max_y = np.linalg.norm(targets, axis=2).max(axis=1)
+    misses = np.flatnonzero(~tol.interpolation_ok(worst, max_y))
+    if misses.size:  # the first trial that misses raises
+        tol.check_interpolation(worst[misses[0]], max_y[misses[0]])
     return k, (_obstruction_witness(units[0], seed) if k > 1 else None)
 
 

@@ -72,13 +72,8 @@ class Quaternion:
 
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product (ij = k convention)."""
-    return Quaternion(
-        p.a * q.a - p.b * q.b - p.c * q.c - p.d * q.d,
-        p.a * q.b + p.b * q.a + p.c * q.d - p.d * q.c,
-        p.a * q.c - p.b * q.d + p.c * q.a + p.d * q.b,
-        p.a * q.d + p.b * q.c - p.c * q.b + p.d * q.a,
-    )
+    """Hamilton product (ij = k convention): ``left_mult_matrix(p)`` applied to q."""
+    return Quaternion(*map(float, left_mult_matrix(p) @ q.as_array()))
 
 
 class AlgebraType(enum.Enum):

@@ -19,7 +19,9 @@ frame and is the one check that A = End_D(V) (A's generators commute with D's un
 and dim A * d = n^2), and a rejection's invariant subspace is a spun vector (Norton's
 irreducibility test).  No n^2 x n^2 system is built.  ``is_transitive`` solves a
 commutant only when dim A is n^2 / 2 or n^2 / 4: Burnside's count alone accepts a span
-of rank n^2 as M_n(R) and rejects a dim A that no D of dimension 1, 2 or 4 fits.
+of rank n^2 as M_n(R) and rejects a dim A that no D of dimension 1, 2 or 4 fits.  Only
+``is_transitive`` reads the closure's basis; ``min_rank`` and a witness's leak read the
+generators: a subspace is invariant under A exactly when it is under each generator.
 
 Everything is pure: randomized searches take an explicit seed so results are
 reproducible and instances can be processed in parallel by the caller.
@@ -166,8 +168,8 @@ class TransitivityReport:
     """Outcome of the Burnside count, with the recognized ``structure`` of the commutant
     (None: no division algebra, or a dim A that no D fits, so none was solved).  When
     not ``transitive``, ``witness`` is None or ``(x, W)``, W orthonormal columns of a
-    leak-checked proper invariant subspace; the seed that steered its search is the
-    caller's."""
+    proper invariant subspace whose leak is checked against the generators; the seed
+    that steered its search is the caller's."""
 
     transitive: bool
     witness: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -276,7 +278,7 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
 def d_frame(v: np.ndarray, units) -> np.ndarray:
     """Rows v_i, U v_i, ... over the units U of each (..., m, n) stack v, in (i, U) order."""
     rows = np.stack([v] + [v @ np.asarray(u).T for u in units], axis=-2)
-    return rows.reshape(v.shape[:-2] + (-1, v.shape[-1]))
+    return rows.reshape(v.shape[:-2] + (v.shape[-2] * (len(units) + 1), v.shape[-1]))
 
 
 def _d_frame_inverse(units, n: int, tol: Tolerance):
@@ -313,7 +315,8 @@ def _witness(algebra: MatrixAlgebra, tol: Tolerance, seed: int):
     non-real lambda.  A seeded kernel vector v of f spins to range[v, b_1 v, ...], which
     is invariant as the basis spans an algebra; a kernel vector of f^T spins under the
     b_i^T, and the complement of that span is invariant.  An irreducible algebra fills
-    both; a draw whose spins fill the space proves nothing and is drawn again."""
+    both; a draw whose spins fill the space proves nothing and is drawn again.  A spin is
+    kept when its leak against the generators (none for span{I}: 0) passes ``leak_ok``."""
     n, basis, eye = algebra.ambient_dim, algebra.basis, np.eye(algebra.ambient_dim)
     if not any(np.linalg.norm(b) > tol.abs_eps for b in basis):
         return eye[0], eye[:, :1]  # the zero algebra leaves every line invariant
@@ -334,8 +337,8 @@ def _witness(algebra: MatrixAlgebra, tol: Tolerance, seed: int):
             w = nullspace_of(w.T, tol) if dual else w
             if not 0 < w.shape[1] < n:
                 continue
-            imgs = basis @ w
-            leak = float(np.max(np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2))))
+            imgs = algebra.generators @ w
+            leak = np.linalg.norm(imgs - w @ (w.T @ imgs), axis=(1, 2)).max(initial=0.0)
             if tol.leak_ok(leak, 1.0, n):
                 return w[:, 0], w
     return None
@@ -402,15 +405,16 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
 
     A transitive algebra with commutant D is all of End_D(V): A's generators commute
     with D's units (so A does) and dim A * d = n^2, or NotTransitiveError.  This is the
-    one check of A = End_D(V); ``classify`` counts End_D(V) as n^2 / d once it has passed.  Take any
-    nonzero basis element T0 = U S V^T, z_1 = u_1 and x_1 = v_1 / s_1, so T0 x_1 = z_1.
-    K is written down: the D-linear map that sends the frame vector x_i of
-    ``_d_frame_inverse`` to x_1 and the other frame vectors to 0, i maximizing
-    ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
+    one check of A = End_D(V); ``classify`` counts End_D(V) as n^2 / d once it has passed.
+    T0 = U S V^T is the first nonzero generator (or a unital A's I), z_1 = u_1 and
+    x_1 = v_1 / s_1, so T0 x_1 = z_1.  K is written down: the D-linear map that sends the
+    frame vector x_i of ``_d_frame_inverse`` to x_1 and the other frame vectors to 0, i
+    maximizing ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
     T0 (D x_1) = D z_1, of rank d.
     """
     units = list(structure.units)
-    t0 = next((b for b in algebra.basis if np.linalg.norm(b) > tol.abs_eps), None)
+    gens = [g for g in algebra.generators if np.linalg.norm(g) > tol.abs_eps]
+    t0 = gens[0] if gens else (np.eye(algebra.ambient_dim) if algebra.unital else None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
     expected = structure.commutant_dim

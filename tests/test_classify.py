@@ -17,7 +17,7 @@ from conftest import (
     random_similarity,
 )
 from lomlab.classify import classify, classify_type, density_degree, envelope
-from lomlab.cli import run_instance
+from lomlab.cli import _check_expectation, run_instance
 from lomlab.division import (
     AlgebraType,
     DivisionStructure,
@@ -34,7 +34,7 @@ from lomlab.engine import (
     commutes,
     generate_algebra,
     is_transitive,
-    strict_interpolate,
+    min_rank,
 )
 from lomlab.errors import NoSolutionError, NotTransitiveError
 from lomlab.numeric import DEFAULT_TOL, solve_least_squares
@@ -185,36 +185,12 @@ def test_density_margin_does_not_depend_on_the_seed(corpus_algebras, name):
     assert len(margins) == 1
 
 
-def trial_by_trial_failure(algebra, structure, trials, seed=0):
-    """The first NoSolutionError of the density trials, each drawn as n/k vectors and
-    then n/k targets and solved on its own with ``strict_interpolate`` (the reference
-    for the least squares that decides a trial the closed form misses)."""
-    n = algebra.ambient_dim
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        xs, targets = np.split(rng.standard_normal((2 * (n // structure.commutant_dim), n)), 2)
-        targets /= np.linalg.norm(targets, axis=1)[:, None]
-        try:
-            strict_interpolate(algebra, list(zip(xs, targets)))
-        except NoSolutionError as exc:
-            return exc
-    return None
-
-
-def test_density_mismatched_structure_fails_like_single_trials(corpus_algebras):
+def test_density_mismatched_structure_is_not_end_d(corpus_algebras):
+    # a Real structure on M_2(C): dim A * 1 != n^2, so A is not End_D(V), whatever
+    # the trials would give
     alg, _ = corpus_algebras["complex_m2_plain"]
-    wrong = DivisionStructure(AlgebraType.REAL, ())
-    with pytest.raises(NoSolutionError) as exc:
-        density_degree(alg, wrong, trials=5)
-    assert np.isfinite(exc.value.residual) and exc.value.residual > 1e-3
-    reference = trial_by_trial_failure(alg, wrong, trials=5)
-    assert exc.value.residual == pytest.approx(reference.residual, rel=1e-9)
-
-
-def least_squares_fallbacks():
-    """Patch that counts the density trials solved again by least squares, the
-    ones on which the closed form missed (``call_count`` of the patch)."""
-    return mock.patch.object(classify_module, "strict_interpolate", wraps=strict_interpolate)
+    with pytest.raises(NotTransitiveError, match="not End_D"):
+        density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=5)
 
 
 def test_density_closed_form_needs_its_refinement_step():
@@ -229,10 +205,8 @@ def test_density_closed_form_needs_its_refinement_step():
     alg = generate_algebra([p @ g @ pinv for g in gens], include_identity=True)
     structure = frobenius_recognize(commutant(alg))
     assert np.linalg.cond(structure.units[0]) > 1e5
-    with least_squares_fallbacks() as fallbacks:
-        k, witness = density_degree(alg, structure)
+    k, witness = density_degree(alg, structure)
     assert k == 2 and witness.margin >= 0.1
-    assert fallbacks.call_count == 0
 
 
 # Real bases of R, C and H, as matrices of left multiplication.
@@ -267,18 +241,16 @@ def test_density_closed_form_decides_conjugated_full_algebras(kind, m, log_kappa
     alg = conjugated_full_algebra(kind, m, log_kappa, seed, max_ambient=8)
     report = is_transitive(alg)
     assert report.transitive and report.structure.commutant_dim == k
-    with least_squares_fallbacks() as fallbacks:
-        assert density_degree(alg, report.structure, seed=seed)[0] == k
-    assert fallbacks.call_count == 0
+    assert density_degree(alg, report.structure, seed=seed)[0] == k
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_corpus_density_needs_no_least_squares(corpus, seed):
-    with least_squares_fallbacks() as fallbacks:
-        for payload in corpus.values():
-            if payload["kind"] == "algebra":
-                run_instance(payload, seed_override=seed)
-    assert fallbacks.call_count == 0
+    # the closed form decides every trial of every corpus algebra: a miss would raise
+    for payload in corpus.values():
+        if payload["kind"] == "algebra":
+            report = run_instance(payload, seed_override=seed)
+            assert not _check_expectation(report, payload["expect"]), payload["name"]
 
 
 def test_density_zero_trials(corpus_algebras):
@@ -286,45 +258,27 @@ def test_density_zero_trials(corpus_algebras):
     structure = frobenius_recognize(commutant(alg))
     k, witness = density_degree(alg, structure, trials=0)
     assert k == 2 and witness.margin >= 0.1
-    assert density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=0) == (1, None)
+    with pytest.raises(NotTransitiveError, match="not End_D"):
+        density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=0)
 
 
 def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypatch):
-    # the closed form is forced to miss trials 2 and 4: least squares solves each on
-    # the vectors the closed form had, in trial order, and both pass
+    # the closed form is forced to miss trials 2 and 4: trial 2 raises, with its own
+    # residual, and no witness is extracted
     alg, _ = corpus_algebras["complex_m2_plain"]
     closed_form_residuals = classify_module._closed_form_residuals
-    given = []
 
     def miss_trials_2_and_4(units, xs, ys, tol):
-        given.append(xs)
         worst = closed_form_residuals(units, xs, ys, tol)
-        worst[[2, 4]] = np.inf
+        worst[[2, 4]] = [0.5, 0.25]
         return worst
 
     monkeypatch.setattr(classify_module, "_closed_form_residuals", miss_trials_2_and_4)
     structure = frobenius_recognize(commutant(alg))
-    with least_squares_fallbacks() as fallbacks:
-        assert density_degree(alg, structure, trials=5)[0] == 2
-    solved = [np.array([x for x, _ in call.args[1]]) for call in fallbacks.call_args_list]
-    assert len(solved) == 2
-    assert np.array_equal(solved[0], given[0][2]) and np.array_equal(solved[1], given[0][4])
-    # with the wrong structure every trial misses, and trial 0's least squares fails
-    # first: no later trial is solved
-    with least_squares_fallbacks() as fallbacks, \
-            pytest.raises(NoSolutionError, match="interpolation infeasible"):
-        density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=5)
-    assert fallbacks.call_count == 1
-
-
-@pytest.mark.parametrize("name", ["full_m3_plain", "quat_m2_plain"])
-def test_density_hit_picks_nothing(corpus_algebras, name):
-    # a trial the closed form decides is not solved again
-    alg, _ = corpus_algebras[name]
-    structure = frobenius_recognize(commutant(alg))
-    with least_squares_fallbacks() as fallbacks:
-        assert density_degree(alg, structure)[0] == structure.commutant_dim
-    assert fallbacks.call_count == 0
+    with mock.patch.object(classify_module, "_obstruction_witness") as extract, \
+            pytest.raises(NoSolutionError, match="interpolation infeasible") as exc:
+        density_degree(alg, structure, trials=5)
+    assert exc.value.residual == 0.5 and extract.call_count == 0
 
 
 # --- envelope -------------------------------------------------------------------
@@ -490,19 +444,37 @@ def svd_calls(fn, *args):
 
 def test_classify_density_factors_only_w():
     # density reads D's units alone: classify of this M_2(H) makes 8 SVDs, and density
-    # itself only factors W, for the obstruction witness; a stand-in with A's counts
-    # and neither basis nor span gives the same degree and witness
+    # itself only factors W, for the obstruction witness; a stand-in with A's counts and
+    # generators and neither basis nor span gives the same rank, degree and witness
     alg = planted_algebra(np.random.default_rng(2), "Quaternion", max_ambient=8, cond=10.0)
     n, structure = alg.ambient_dim, is_transitive(alg).structure
     assert len(svd_calls(classify, alg)) == 8
     assert svd_calls(density_degree, alg, structure) == [(n, n)]
     k, witness = density_degree(alg, structure)
-    counts = SimpleNamespace(ambient_dim=n, dim=alg.dim)
+    counts = SimpleNamespace(ambient_dim=n, dim=alg.dim, generators=alg.generators)
+    assert min_rank(counts, structure) == min_rank(alg, structure)
     k_counts, witness_counts = density_degree(counts, structure)
     assert k_counts == k and witness_counts.margin == witness.margin
     assert np.array_equal(witness_counts.x, witness.x)
     real = planted_algebra(np.random.default_rng(2), "Real", max_ambient=8, cond=10.0)
     assert svd_calls(density_degree, real, is_transitive(real).structure) == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_identity_alone_is_rejected_with_an_invariant_line(n):
+    # span{I} from a zero generator has an empty generator stack; I leaves every line
+    # invariant, so the witness leaks nothing against it
+    alg = generate_algebra([np.zeros((n, n))], include_identity=True)
+    assert alg.generators.shape == (0, n, n)
+    with pytest.raises(NotTransitiveError) as exc:
+        classify(alg)
+    assert exc.value.witness[1].shape == (n, 1)
+
+
+def test_the_identity_alone_on_a_line_has_minimal_rank_one():
+    # on R^1, span{I} is M_1(R): with no nonzero generator, min_rank takes T0 = I
+    report = classify(generate_algebra([np.zeros((1, 1))], include_identity=True))
+    assert (report.type, report.min_rank, report.density_degree) == (AlgebraType.REAL, 1, 1)
 
 
 def test_explicit_basis_factors_its_span_once():
