@@ -79,8 +79,9 @@ def classify_type(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> Algeb
     return _certified(algebra, tol).structure.type
 
 
-def _obstruction_witness(w: np.ndarray, seed: int) -> DensityObstruction:
-    """The infeasible pair (x, W x) for the unit W, with its margin in closed form.
+def _obstruction_witness(w: np.ndarray, x: np.ndarray) -> DensityObstruction:
+    """The infeasible pair (x / ||x||, W x / ||x||) for the unit W, with its margin in
+    closed form.  ``density_degree`` passes the first vector of its seeded stream.
 
     Every T in End_D(V) commutes with W and sends x to any y, so the least residual
     of T x = 0, T W x = t over End_D(V) is min_y ||(y, W y - t)||.  With t the left
@@ -89,14 +90,12 @@ def _obstruction_witness(w: np.ndarray, seed: int) -> DensityObstruction:
     1/sqrt(2) however badly conditioned a similarity was applied to the algebra.
     """
     u, s, _ = svd(w)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(len(w))
-    x /= np.linalg.norm(x)
+    x = x / np.linalg.norm(x)
     return DensityObstruction(x=x, unit_image=w @ x, target=u[:, -1],
                               margin=float(1 / np.hypot(1, s[-1])))
 
 
-def _closed_form_residuals(units: list, xs: np.ndarray, ys: np.ndarray,
+def _closed_form_residuals(units: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                            tol: Tolerance) -> np.ndarray:
     """Worst residual max_i ||T x_i - y_i|| of each trial's D-linear interpolant:
     T^T = X_D^-1 Y_D over the rows x_i, U x_i, ... and y_i, U y_i, ... for the units
@@ -135,7 +134,8 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     the trials test, from D's units alone, that the seeded vectors are D-independent
     (X_D inverts) and that their interpolant reaches the targets within
     ``interpolation_ok``.  The first trial that misses raises NoSolutionError with its
-    residual.  For k > 1 the witness is read off the first unit W alone.
+    residual.  For k > 1 the witness is read off the first unit W alone, at the first
+    vector of the trials' seeded stream (drawn alone if there are no trials).
 
     Returns ``(k, witness_or_None)``.
     """
@@ -143,7 +143,7 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     n = algebra.ambient_dim
     if algebra.dim * k != n * n:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
-    units = list(structure.units)
+    units = np.reshape(structure.units, (-1, n, n))
     rng = np.random.default_rng(seed)
 
     n_targets = n // k
@@ -157,7 +157,8 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     misses = np.flatnonzero(~tol.interpolation_ok(worst, max_y))
     if misses.size:  # the first trial that misses raises
         tol.check_interpolation(worst[misses[0]], max_y[misses[0]])
-    return k, (_obstruction_witness(units[0], seed) if k > 1 else None)
+    x = draws[0, 0] if trials else rng.standard_normal(n)
+    return k, (_obstruction_witness(units[0], x) if k > 1 else None)
 
 
 def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,

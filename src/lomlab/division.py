@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotAntiInvolutiveError, ShapeMismatchError
-from .numeric import _CONDITIONING_BUDGET, DEFAULT_TOL, Tolerance, as_matrix, orthonormal_rows
+from .numeric import (_CONDITIONING_BUDGET, DEFAULT_TOL, Tolerance, as_matrix, frobenius_norms,
+                      orthonormal_rows)
 
 __all__ = [
     "Quaternion",
@@ -157,11 +158,6 @@ def embed_quaternion(q) -> np.ndarray:
     return out
 
 
-def _traceless_part(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return m - (np.trace(m) / n) * np.eye(n)
-
-
 def _pure_form(x: np.ndarray, y: np.ndarray) -> float:
     # On traceless elements of a division algebra, -tr(xy)/n is the Euclidean
     # pairing of the imaginary parts; it is invariant under similarity, which
@@ -175,17 +171,18 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
     The caller guarantees the span is a division algebra (e.g. the commutant
     of a transitive algebra).  Units are obtained from the traceless parts of
     basis elements, orthogonalized under the multiplicative trace form, with
-    K_op defined as I_op @ J_op so the ijk = -1 convention holds exactly.
+    K_op defined as I_op @ J_op so the ijk = -1 convention holds exactly.  The
+    basis is read as one (k, n, n) array: its traceless parts are one broadcast,
+    and the scales and relation residuals one ``frobenius_norms`` call each.
     """
-    mats = [as_matrix(b, square=True) for b in commutant_basis]
-    if not mats:
+    try:  # a ragged sequence raises ValueError
+        mats = np.array(commutant_basis, dtype=float)
+    except ValueError as exc:
+        raise ShapeMismatchError("commutant basis elements have mixed shapes") from exc
+    if not len(mats):
         raise BadDimensionError("empty commutant basis")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ShapeMismatchError("commutant basis elements have mixed shapes")
-
-    vecs = np.stack([m.reshape(-1) for m in mats])
-    dim = orthonormal_rows(vecs, tol).shape[0]
+    n = as_matrix(mats[0], square=True).shape[0]  # all elements share its shape
+    dim = orthonormal_rows(as_matrix(mats.reshape(len(mats), n * n)), tol).shape[0]
     if dim not in (1, 2, 4):
         raise BadDimensionError(f"commutant span has dimension {dim}, expected 1, 2 or 4")
 
@@ -193,10 +190,10 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
         return DivisionStructure(AlgebraType.REAL, ())
 
     # Gram-Schmidt on the traceless parts under the pure form.
+    eye = np.eye(n)
     units = []
-    scale = max(float(np.linalg.norm(m)) for m in mats)
-    for m in mats:
-        x = _traceless_part(m)
+    scale = float(frobenius_norms(mats).max())
+    for x in mats - (np.trace(mats, axis1=1, axis2=2) / n)[:, None, None] * eye:
         for u in units:
             x = x - _pure_form(x, u) * u
         nrm = math.sqrt(max(_pure_form(x, x), 0.0))
@@ -212,30 +209,22 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
             "could not extract enough anti-involutive units; span is not a division algebra"
         )
 
-    eye = np.eye(n)
-    unit_scale = max(1.0, max(float(np.linalg.norm(u)) for u in units))
+    unit_scale = max(1.0, float(frobenius_norms(np.array(units)).max()))
     if dim == 2:
         w = units[0]
-        if not tol.relation_ok(np.linalg.norm(w @ w + eye), unit_scale ** 2, n):
+        if not tol.relation_ok(frobenius_norms(w @ w + eye), unit_scale ** 2, n):
             raise NotAntiInvolutiveError("rescaled candidate W fails W^2 = -1")
         return DivisionStructure(AlgebraType.COMPLEX, (w,))
 
-    i_op, j_op = units[0], units[1]
+    i_op, j_op = units[:2]
     k_op = i_op @ j_op
-    square_residuals = [
-        np.linalg.norm(i_op @ i_op + eye),
-        np.linalg.norm(j_op @ j_op + eye),
-        np.linalg.norm(i_op @ j_op + j_op @ i_op),
-    ]
-    # k = ij carries two unit factors, so its relations live at scale^4
-    quartic_residuals = [
-        np.linalg.norm(k_op @ k_op + eye),
-        np.linalg.norm(i_op @ j_op @ k_op + eye),
-    ]
-    if not (tol.relation_ok(max(square_residuals), unit_scale ** 2, n)
-            and tol.relation_ok(max(quartic_residuals), unit_scale ** 4, n)):
-        worst = max(square_residuals + quartic_residuals)
+    # i j k, evaluated (i j) k, is k k bit for bit: one residual serves both relations.
+    # k = ij carries two unit factors, so its relations live at scale^4.
+    residuals = frobenius_norms(np.array([i_op @ i_op + eye, j_op @ j_op + eye,
+                                          k_op + j_op @ i_op, k_op @ k_op + eye]))
+    if not (tol.relation_ok(residuals[:3].max(), unit_scale ** 2, n)
+            and tol.relation_ok(residuals[3], unit_scale ** 4, n)):
         raise NotAntiInvolutiveError(
-            f"candidate units fail the quaternion relations (residual {worst:.3e})"
+            f"candidate units fail the quaternion relations (residual {residuals.max():.3e})"
         )
     return DivisionStructure(AlgebraType.QUATERNION, (i_op, j_op, k_op))

@@ -195,8 +195,9 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
 
     # Unit generators weigh alike in the cut; orthonormal rows keep words from growing.
     # A product r g is cut unscaled: its rounding is ~u ||r|| ||g|| whatever ||r g||.
-    norms = np.array([np.linalg.norm(m) for m in mats])
-    gens = np.stack(mats)[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None, None]
+    stack = np.stack(mats)
+    norms = frobenius_norms(stack)
+    gens = stack[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None, None]
     words = gens.reshape(-1, n * n)
     if include_identity:
         words = np.vstack([words, np.eye(n).reshape(1, -1) / math.sqrt(n)])
@@ -226,12 +227,14 @@ def _spin_draws(n: int) -> np.ndarray:
 
 def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ||a_i b_j - b_j a_i|| passes ``relation_ok`` at max(1, ||a_i|| ||b_j||) times the
-    budget for all pairs of two (k, n, n) stacks, in one batched product (True if one is empty)."""
+    budget for all pairs of two (k, n, n) stacks, in one batched product and one
+    ``frobenius_norms`` call per stack; True, with no product, if one is empty."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape((-1,) + a.shape[1:])
-    worst = np.linalg.norm(a[:, None] @ b[None] - b[None] @ a[:, None], axis=(2, 3))
-    scale = np.maximum(1.0, np.outer(np.linalg.norm(a, axis=(1, 2)),
-                                     np.linalg.norm(b, axis=(1, 2))))
+    if not (len(a) and len(b)):
+        return True
+    worst = frobenius_norms(a[:, None] @ b[None] - b[None] @ a[:, None])
+    scale = np.maximum(1.0, np.outer(frobenius_norms(a), frobenius_norms(b)))
     return bool(np.all(tol.relation_ok(worst, scale * _CONDITIONING_BUDGET, a.shape[-1])))
 
 
@@ -263,7 +266,8 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
     g = (words.reshape(m, n * n).T
          @ vt.reshape(n, m, k).transpose(1, 0, 2).reshape(m, n * k)).reshape(n, n, n, k)
     # the relations Psi (I - V_r V_r^T) = 0, rows (a, i, j), columns (b, l) of v
-    system = np.einsum("iab,jl->aijbl", words, np.eye(k)).reshape(n, m * k, n * k) \
+    psi = words.transpose(1, 0, 2)[:, :, None, :, None] * np.eye(k)[:, None]  # w_i[a, b] d_jl
+    system = psi.reshape(n, m * k, n * k) \
         - (g.transpose(0, 1, 3, 2).reshape(n, n * k, n) @ vt).transpose(0, 2, 1)
     r = np.linalg.qr(system.reshape(n * m * k, n * k), mode="r")
     kernel = nullspace_of(r, tol, _CONDITIONING_BUDGET)
@@ -276,15 +280,20 @@ def commutant(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL) -> np.ndarra
 
 
 def d_frame(v: np.ndarray, units) -> np.ndarray:
-    """Rows v_i, U v_i, ... over the units U of each (..., m, n) stack v, in (i, U) order."""
-    rows = np.stack([v] + [v @ np.asarray(u).T for u in units], axis=-2)
+    """Rows v_i, U v_i, ... over the units U of each (..., m, n) stack v, in (i, U) order (v
+    itself if there are none), from one broadcast product v U^T over all units."""
+    units = np.asarray(units)
+    if not len(units):
+        return v
+    rows = v[..., None, :, :]
+    rows = np.concatenate([rows, rows @ units.transpose(0, 2, 1)], axis=-3).swapaxes(-3, -2)
     return rows.reshape(v.shape[:-2] + (v.shape[-2] * (len(units) + 1), v.shape[-1]))
 
 
 def _d_frame_inverse(units, n: int, tol: Tolerance):
     """Words [I, units...] and X_D^-1 = U S^-1 V^T, (m, 1, #words, n), of the D-frame X_D^T =
     ``d_frame`` of m = n / #words seeded vectors; NoConvergenceError unless it has rank n."""
-    words = np.stack([np.eye(n)] + [as_matrix(u, square=True) for u in units])
+    words = as_matrix(np.concatenate([np.eye(n), np.reshape(units, (-1, n))])).reshape(-1, n, n)
     m = n // len(words)
     u, s, vt = svd(d_frame(_spin_draws(n)[:m], words[1:]))
     if tol.rank(s, _CONDITIONING_BUDGET) != n:
@@ -412,9 +421,9 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     maximizing ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
     T0 (D x_1) = D z_1, of rank d.
     """
-    units = list(structure.units)
-    gens = [g for g in algebra.generators if np.linalg.norm(g) > tol.abs_eps]
-    t0 = gens[0] if gens else (np.eye(algebra.ambient_dim) if algebra.unital else None)
+    units = np.reshape(structure.units, (-1, algebra.ambient_dim, algebra.ambient_dim))
+    gens = algebra.generators[frobenius_norms(algebra.generators) > tol.abs_eps]
+    t0 = gens[0] if len(gens) else (np.eye(algebra.ambient_dim) if algebra.unital else None)
     if t0 is None:
         raise NotTransitiveError("zero algebra has no minimal rank")
     expected = structure.commutant_dim

@@ -158,9 +158,9 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
 
     Both sum the squares with one BLAS dot per matrix, as a (1, rc) @ (rc, 1)
     product does; ``np.linalg.norm(stack, axis=(-2, -1))`` sums them pairwise
-    and moves the last bits of about half the norms.
+    and moves the last bits of about half the norms.  An empty stack has none.
     """
-    rows = stack.reshape(stack.shape[:-2] + (1, -1))
+    rows = stack.reshape(stack.shape[:-2] + (1, stack.shape[-2] * stack.shape[-1]))
     return np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0])
 
 

@@ -262,6 +262,18 @@ def test_density_zero_trials(corpus_algebras):
         density_degree(alg, DivisionStructure(AlgebraType.REAL, ()), trials=0)
 
 
+@pytest.mark.parametrize("trials", [25, 0])
+def test_density_witness_x_is_the_first_vector_of_the_seeded_stream(corpus_algebras, trials):
+    # one generator serves the trials and the witness: x is the first vector it draws
+    for name in ("complex_m2_conj", "quat_m1_conj"):
+        alg, _ = corpus_algebras[name]
+        structure = is_transitive(alg).structure
+        for seed in (0, 3):
+            _, witness = density_degree(alg, structure, trials=trials, seed=seed)
+            x = np.random.default_rng(seed).standard_normal(alg.ambient_dim)
+            assert witness.x.tobytes() == (x / np.linalg.norm(x)).tobytes()
+
+
 def test_density_earlier_trials_fail_before_extraction(corpus_algebras, monkeypatch):
     # the closed form is forced to miss trials 2 and 4: trial 2 raises, with its own
     # residual, and no witness is extracted

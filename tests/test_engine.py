@@ -29,6 +29,8 @@ from lomlab.division import (
 from lomlab.engine import (
     MatrixAlgebra,
     commutant,
+    commutes,
+    d_frame,
     d_linear_maps,
     generate_algebra,
     is_transitive,
@@ -435,6 +437,36 @@ def conjugated_units(d, n, p):
     blocks = [left_mult_matrix(q) for q in (I_Q, J_Q, I_Q * J_Q)] if d == 4 else [J2]
     pinv = np.linalg.inv(p)
     return [p @ np.kron(np.eye(n // d), b) @ pinv for b in blocks]
+
+
+def per_unit_frame(v, units):
+    """``d_frame`` with one product per unit, the reference for its batched product."""
+    rows = np.stack([v] + [v @ np.asarray(u).T for u in units], axis=-2)
+    return rows.reshape(v.shape[:-2] + (v.shape[-2] * (len(units) + 1), v.shape[-1]))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("shape", [(1, 8), (3, 8), (5, 3, 8)])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_d_frame_matches_one_product_per_unit_bit_for_bit(d, shape, stacked):
+    # 0, 1 and 3 units, as a list or as one (k, n, n) array, on one set of vectors or
+    # a stack of trials
+    rng = np.random.default_rng(d)
+    units = conjugated_units(d, 8, random_similarity(rng, 8, 1e2)) if d > 1 else []
+    if stacked:
+        units = np.reshape(units, (-1, 8, 8))
+    v = rng.standard_normal(shape)
+    got = d_frame(v, units)
+    assert got.shape == shape[:-2] + (shape[-2] * d, 8)
+    assert got.tobytes() == per_unit_frame(v, units).tobytes()
+
+
+def test_commutes_holds_with_no_product_for_an_empty_stack(monkeypatch):
+    gens = np.random.default_rng(0).standard_normal((2, 3, 3))
+    empty = np.zeros((0, 3, 3))
+    monkeypatch.setattr(engine, "frobenius_norms", None)  # an empty stack reaches no norm
+    assert commutes(gens, empty) and commutes(empty, gens)
+    assert commutes(gens, ()) and commutes(empty, empty)
 
 
 @settings(max_examples=60, deadline=None)

@@ -335,7 +335,7 @@ def test_policy_on_arrays_decides_each_entry_as_on_scalars(tol, scales, n):
         assert got.tolist() == [bool(i % 2) for i in range(len(scales))]
 
 
-@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**16))
+@given(st.integers(0, 3), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_frobenius_norms_match_one_norm_per_matrix_bit_for_bit(count, rows, cols, seed):
     rng = np.random.default_rng(seed)
