@@ -28,7 +28,7 @@ from .engine import (
     min_rank,
 )
 from .errors import NotTransitiveError
-from .numeric import DEFAULT_TOL, Tolerance, svd
+from .numeric import DEFAULT_TOL, Tolerance, as_stack, svd
 
 __all__ = [
     "DensityObstruction",
@@ -143,7 +143,7 @@ def density_degree(algebra: MatrixAlgebra, structure: DivisionStructure,
     n = algebra.ambient_dim
     if algebra.dim * k != n * n:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
-    units = np.reshape(structure.units, (-1, n, n))
+    units = as_stack(structure.units, n)
     rng = np.random.default_rng(seed)
 
     n_targets = n // k
@@ -173,10 +173,11 @@ def envelope(algebra: MatrixAlgebra, structure: DivisionStructure,
     unit triple, and for the real type the full matrix algebra M_n(R).
     """
     n = algebra.ambient_dim
-    if not commutes(algebra.generators, structure.units, tol) \
+    units = as_stack(structure.units, n)
+    if not commutes(algebra.generators, units, tol) \
             or algebra.dim * structure.commutant_dim != n * n:
         raise NotTransitiveError("the algebra is not End_D(V) for the recognized commutant D")
-    return MatrixAlgebra(n, d_linear_maps(structure.units, n, tol), unital=True)
+    return MatrixAlgebra(n, d_linear_maps(units, n, tol), unital=True)
 
 
 def classify(algebra: MatrixAlgebra, tol: Tolerance = DEFAULT_TOL,

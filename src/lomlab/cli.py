@@ -5,7 +5,8 @@ Instance files are self-describing JSON with explicit shapes, seeds and
 tolerances (defaults are written back into reports, never left implicit).
 Matrices are row-major ``{"rows": r, "cols": c, "entries": [...]}``;
 INFINITY in dimension sequences is spelled ``"inf"``.  An integer field takes
-an integral number (``2`` or ``2.0``, never ``2.5`` or ``true``).
+an integral number (``2`` or ``2.0``, never ``2.5`` or ``true``), any other number
+field a number (never ``"2"`` or ``true``), and ``include_identity`` a boolean.
 
 Exit codes: 0 success, 2 parse/validation error (any missing, mistyped or
 out-of-range field, ``suite --tol`` included), 3 mathematical precondition
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import operator
 import sys
 import time
@@ -41,7 +41,8 @@ from .engine import commutant  # noqa: F401 -- unused; perfbench/smoke.py checks
 from .engine import generate_algebra
 from .errors import LomlabError, NotTransitiveError, ParseError
 from .numeric import DEFAULT_TOL, Tolerance
-from .ranges import INFINITY, DimSequence, check_isomorphism, power_family, shift_right, witness_violates
+from .ranges import (INFINITY, DimSequence, check_isomorphism, power_family, replace_head,
+                     shift_right, witness_violates)
 
 __all__ = ["main", "load_instance", "run_instance", "corpus_paths"]
 
@@ -64,7 +65,7 @@ def _malformed(what):
     """
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from exc
 
 
@@ -81,6 +82,13 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _number(value) -> float:
+    """A JSON number (NaN and Infinity too) as a float: TypeError for a string or a boolean."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=float)
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": a.reshape(-1).tolist()}
@@ -89,12 +97,14 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj, what="matrix") -> np.ndarray:
     with _malformed(what):
         rows, cols = _integer(obj["rows"]), _integer(obj["cols"])
-        entries = [float(x) for x in obj["entries"]]
+        if not set(map(type, obj["entries"])) <= {int, float}:  # one scan; bool is its own type
+            raise TypeError(f"{what} entries must be numbers")
+        entries = np.array(obj["entries"], dtype=float)
     if rows < 1 or cols < 1:
         raise ParseError(f"{what} must have at least one row and one column, got {rows}x{cols}")
     if len(entries) != rows * cols:
         raise ParseError(f"{what} declares {rows}x{cols} but carries {len(entries)} entries")
-    return np.array(entries).reshape(rows, cols)
+    return entries.reshape(rows, cols)
 
 
 def vector_to_json(v) -> list:
@@ -105,7 +115,7 @@ def tolerance_from_json(obj) -> Tolerance:
     if obj is None:
         return DEFAULT_TOL
     with _malformed("tolerance"):
-        return Tolerance(rel_eps=float(obj["rel_eps"]), abs_eps=float(obj["abs_eps"]))
+        return Tolerance(rel_eps=_number(obj["rel_eps"]), abs_eps=_number(obj["abs_eps"]))
 
 
 def sequence_from_json(obj) -> DimSequence:
@@ -116,13 +126,10 @@ def sequence_from_json(obj) -> DimSequence:
         if "dims" in obj:
             seq = DimSequence(tuple(INFINITY if d == "inf" else _integer(d) for d in obj["dims"]))
         elif "floor_power" in obj:
-            seq = power_family(float(obj["floor_power"]), _integer(obj["horizon"]))
+            seq = power_family(_number(obj["floor_power"]), _integer(obj["horizon"]))
             head = obj.get("head", "inf")
             if head != "inf":
-                head = _integer(head)
-                values = seq.values.astype(seq.values.dtype if 0 <= head < 2 ** 62 else object)
-                values[0] = head
-                seq = DimSequence._from_array(values)
+                seq = replace_head(seq, _integer(head))
         else:
             raise ParseError("sequence spec needs 'dims' or 'floor_power'")
         shift = _integer(obj.get("shift", 0))
@@ -160,7 +167,9 @@ def load_instance(path: str) -> dict:
 def _run_algebra(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("algebra payload"):
         gens = [matrix_from_json(g, "generator") for g in payload["generators"]]
-        include_identity = bool(payload.get("include_identity", True))
+        include_identity = payload.get("include_identity", True)
+        if not isinstance(include_identity, bool):
+            raise TypeError(f"include_identity must be true or false, got {include_identity!r}")
         ambient = _integer(payload["ambient_dim"])
         trials = _integer(payload.get("density_trials", 25))
         if trials < 0:
@@ -209,7 +218,7 @@ def _run_pcs_like(pcs, tol: Tolerance) -> dict:
 
 def _run_pcs(payload: dict, tol: Tolerance, seed: int) -> dict:
     with _malformed("pcs payload"):
-        schedule = [float(s) for s in payload["schedule"]]
+        schedule = [_number(s) for s in payload["schedule"]]
     return _run_pcs_like(build_pcs(schedule), tol)
 
 
@@ -356,24 +365,19 @@ def corpus_paths():
     return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for ``--tol``: a finite number above zero."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
-    return value
+def _tolerance(text: str) -> Tolerance:
+    """argparse type for ``--tol``: a default Tolerance with this rel_eps, which it checks."""
+    return Tolerance(rel_eps=float(text))
 
 
 def _cmd_suite(args) -> int:
-    tol_override = Tolerance(rel_eps=args.tol, abs_eps=DEFAULT_TOL.abs_eps) \
-        if args.tol is not None else None
     entries = []
     for path in corpus_paths():
         entry = {"path": path}
         try:
             payload = load_instance(path)
             entry.update(name=payload.get("name"), kind=payload["kind"])
-            report = run_instance(payload, seed_override=args.seed, tol_override=tol_override)
+            report = run_instance(payload, seed_override=args.seed, tol_override=args.tol)
         except LomlabError as exc:
             entry.update(status="parse-error" if isinstance(exc, ParseError) else "error",
                          detail=f"{type(exc).__name__}: {exc}")
@@ -447,7 +451,7 @@ def main(argv=None) -> int:
 
     p_suite = sub.add_parser("suite", help="run the shipped instance corpus")
     p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--tol", type=_positive_float, default=None)
+    p_suite.add_argument("--tol", type=_tolerance, default=None)
     p_suite.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

@@ -20,14 +20,13 @@ from .division import Quaternion, left_mult_matrix, quat_mul
 from .engine import MatrixAlgebra, d_linear_maps
 from .errors import (
     BadScheduleError,
-    NonFiniteError,
     NotComplementaryError,
     NotInvariantError,
     ShapeMismatchError,
     SingularSystemError,
     SingularTwistError,
 )
-from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_vector,
+from .numeric import (_TWIST_RCOND, DEFAULT_TOL, Tolerance, as_matrix, as_stack, as_vector,
                       frobenius_norms, rank_of, solve_least_squares, svd)
 
 __all__ = [
@@ -133,18 +132,18 @@ class PCSOperator:
 @dataclass(frozen=True, eq=False)
 class GroupRep:
     """The eight operators of a quaternion group representation, as one read-only
-    (8, n, n) float64 stack ``ops`` in GROUP_ELEMENTS order."""
+    (8, n, n) float64 stack ``ops`` in GROUP_ELEMENTS order, read by ``as_stack``."""
 
     n: int
     ops: np.ndarray
 
     def __post_init__(self):
-        ops = np.array(self.ops, dtype=float)
-        if self.n < 1 or ops.shape != (len(GROUP_ELEMENTS), self.n, self.n):
+        try:
+            ops = as_stack(self.ops, self.n)
+        except ShapeMismatchError as exc:
+            raise ShapeMismatchError(f"representation matrices must be n x n: {exc}") from exc
+        if len(ops) != len(GROUP_ELEMENTS):
             raise ShapeMismatchError("representation matrices must be n x n")
-        if not np.all(np.isfinite(ops)):
-            raise NonFiniteError("matrix contains NaN or Inf entries")
-        ops.flags.writeable = False
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -267,10 +266,8 @@ def generic_pair_pcs(pair: GenericPair, structure_unit, tol: Tolerance = DEFAULT
     The conditioning of the decomposition [M | N] is the finite shadow of how
     'generic' the pair is and is reported on the result.
     """
-    u = as_matrix(structure_unit, square=True)
     n = pair.ambient_dim
-    if u.shape[0] != n:
-        raise ShapeMismatchError("structure unit must match the ambient dimension")
+    u = as_stack([structure_unit], n)[0]  # one finite n x n matrix
     proj_m, proj_n, cond = pair.decomposition(tol)
     _check_invariant(pair, ["the structure unit"], u[None], tol)
     s = u @ proj_m - u @ proj_n
@@ -284,16 +281,14 @@ def build_quaternion_rep(m: int, twists=None) -> GroupRep:
     an invertible 4x4 change of basis."""
     if m < 1:
         raise ShapeMismatchError("at least one block is required")
-    if twists is None:
-        twists = [np.eye(4)] * m
-    mats = [as_matrix(t, square=True) for t in twists]
-    if len(mats) != m or any(t.shape != (4, 4) for t in mats):
+    mats = as_stack([np.eye(4)] * m if twists is None else twists, 4)
+    if len(mats) != m:
         raise ShapeMismatchError("expected one 4x4 twist per block")
     for t in mats:
         svals = svd(t, compute_uv=False)
         if svals[-1] <= _TWIST_RCOND * max(1.0, svals[0]):
             raise SingularTwistError("twist matrix is singular")
-    blocks = np.stack(mats)[None] @ _LEFT_UNITS[:, None] @ np.linalg.inv(mats)[None]  # (8, m, 4, 4)
+    blocks = mats[None] @ _LEFT_UNITS[:, None] @ np.linalg.inv(mats)[None]  # (8, m, 4, 4)
     pis = np.zeros((len(GROUP_ELEMENTS), m, 4, m, 4))
     pis[:, np.arange(m), :, np.arange(m)] = blocks.swapaxes(0, 1)  # block b on the diagonal
     return GroupRep(n=4 * m, ops=pis.reshape(-1, 4 * m, 4 * m))
@@ -314,9 +309,7 @@ def twisted_rep(pair: GenericPair, tau: GroupRep, tol: Tolerance = DEFAULT_TOL) 
 
 def group_mean(k, rep: GroupRep) -> np.ndarray:
     """Sum of pi(g) K pi(g)^{-1} over the group; commutes with every pi(g)."""
-    km = as_matrix(k, square=True)
-    if km.shape != (rep.n, rep.n):
-        raise ShapeMismatchError("operator shape must match the representation")
+    km = as_stack([k], rep.n)[0]
     return np.sum(rep.ops @ km @ rep.ops[_INVERSE], axis=0)
 
 
@@ -345,4 +338,4 @@ def solve_popolam(x, rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def rep_commutant_algebra(rep: GroupRep, tol: Tolerance = DEFAULT_TOL) -> MatrixAlgebra:
     """The algebra of all matrices commuting with the representation:
     transitive, quaternion type, dimension n^2/4."""
-    return MatrixAlgebra(rep.n, d_linear_maps(list(rep.ops[_IJK]), rep.n, tol), unital=True)
+    return MatrixAlgebra(rep.n, d_linear_maps(rep.ops[_IJK], rep.n, tol), unital=True)

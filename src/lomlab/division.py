@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotAntiInvolutiveError, ShapeMismatchError
-from .numeric import (_CONDITIONING_BUDGET, DEFAULT_TOL, Tolerance, as_matrix, frobenius_norms,
+from .numeric import (_CONDITIONING_BUDGET, DEFAULT_TOL, Tolerance, as_stack, frobenius_norms,
                       orthonormal_rows)
 
 __all__ = [
@@ -127,10 +127,7 @@ def embed_complex(t, r) -> np.ndarray:
     The image is the block matrix [[T, -R], [R, T]]; the map is a unital
     algebra homomorphism of M_n(C) into M_2n(R).
     """
-    tm = as_matrix(t, square=True)
-    rm = as_matrix(r, square=True)
-    if tm.shape != rm.shape:
-        raise ShapeMismatchError(f"block shapes disagree: {tm.shape} vs {rm.shape}")
+    tm, rm = as_stack([t, r])
     return np.block([[tm, -rm], [rm, tm]])
 
 
@@ -175,14 +172,11 @@ def frobenius_recognize(commutant_basis, tol: Tolerance = DEFAULT_TOL) -> Divisi
     basis is read as one (k, n, n) array: its traceless parts are one broadcast,
     and the scales and relation residuals one ``frobenius_norms`` call each.
     """
-    try:  # a ragged sequence raises ValueError
-        mats = np.array(commutant_basis, dtype=float)
-    except ValueError as exc:
-        raise ShapeMismatchError("commutant basis elements have mixed shapes") from exc
-    if not len(mats):
+    if not len(commutant_basis):
         raise BadDimensionError("empty commutant basis")
-    n = as_matrix(mats[0], square=True).shape[0]  # all elements share its shape
-    dim = orthonormal_rows(as_matrix(mats.reshape(len(mats), n * n)), tol).shape[0]
+    mats = as_stack(commutant_basis)
+    n = mats.shape[1]
+    dim = orthonormal_rows(mats.reshape(len(mats), n * n), tol).shape[0]
     if dim not in (1, 2, 4):
         raise BadDimensionError(f"commutant span has dimension {dim}, expected 1, 2 or 4")
 

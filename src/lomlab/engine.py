@@ -1,11 +1,11 @@
 """Core computations on matrix algebras.
 
 An algebra is stored as a linear basis of n x n matrices, one read-only (dim, n, n)
-array, together with its ambient dimension and a unitality flag; a commutant is an
-array of the same form.  An algebra also carries its orthonormal row ``span`` in
-R^(n^2), which ``generate_algebra`` hands over (its basis is that span) and an
-explicit basis factors once, on first read, and its ``generators``, the matrices it is
-generated by: commuting with them is commuting with the algebra.  The operations here
+array from ``numeric.as_stack``, with its ambient dimension and a unitality flag; a
+commutant is an array of the same form.  An algebra also carries its orthonormal row
+``span`` in R^(n^2), which ``generate_algebra`` hands over (its basis is that span) and
+an explicit basis factors once, on first read, and its ``generators``, the matrices it
+is generated by: commuting with them is commuting with the algebra.  The operations here
 cover generated closure, commutants, transitivity certificates, minimal rank, strict
 interpolation over the commutant division algebra, real spectral (Riesz)
 projections, and idempotent lifting modulo a nilpotent ideal.
@@ -43,7 +43,6 @@ from .errors import (
     ClusterContainsZeroError,
     ClusterNotSeparatedError,
     NoConvergenceError,
-    NonFiniteError,
     NotAntiInvolutiveError,
     NotCommutativeError,
     NotTransitiveError,
@@ -56,6 +55,7 @@ from .numeric import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    as_stack,
     as_vector,
     frobenius_norms,
     nullspace_of,
@@ -85,8 +85,8 @@ __all__ = [
 class MatrixAlgebra:
     """Linear basis of an algebra of n x n real matrices.
 
-    ``basis`` is kept as a read-only float64 copy of shape (dim, n, n), (0, n, n)
-    for the zero algebra.  Its elements are linearly independent as vectors in
+    ``basis`` is kept as ``as_stack`` copies it, read-only float64 of shape (dim, n, n),
+    (0, n, n) for the zero algebra.  Its elements are linearly independent as vectors in
     R^(n^2) and the span is expected to be closed under products; ``validate``
     checks both.  ``unital`` records whether the identity lies in the span.
 
@@ -103,17 +103,7 @@ class MatrixAlgebra:
     unital: bool
 
     def __post_init__(self):
-        n = self.ambient_dim
-        try:  # a ragged sequence raises ValueError
-            mats = np.array(self.basis, dtype=float) if len(self.basis) else np.zeros((0, n, n))
-        except ValueError as exc:
-            raise ShapeMismatchError(f"basis elements differ in shape: {exc}") from exc
-        if mats.shape[1:] != (n, n):
-            raise ShapeMismatchError("basis elements must match the ambient dimension")
-        if not np.all(np.isfinite(mats)):
-            raise NonFiniteError("matrix contains NaN or Inf entries")
-        mats.flags.writeable = False
-        object.__setattr__(self, "basis", mats)
+        object.__setattr__(self, "basis", as_stack(self.basis, self.ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -186,16 +176,13 @@ def generate_algebra(generators, include_identity: bool, tol: Tolerance = DEFAUL
     span is all of M_n.  The algebra keeps those rows as its basis and its ``span``,
     and the generators scaled to unit norm (zero ones dropped) as its ``generators``.
     """
-    mats = [as_matrix(g, square=True) for g in generators]
-    if not mats:
+    if not len(generators):
         raise ShapeMismatchError("at least one generator is required")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ShapeMismatchError("generators must all be square of equal size")
+    stack = as_stack(generators)
+    n = stack.shape[1]
 
     # Unit generators weigh alike in the cut; orthonormal rows keep words from growing.
     # A product r g is cut unscaled: its rounding is ~u ||r|| ||g|| whatever ||r g||.
-    stack = np.stack(mats)
     norms = frobenius_norms(stack)
     gens = stack[norms > tol.abs_eps] / norms[norms > tol.abs_eps, None, None]
     words = gens.reshape(-1, n * n)
@@ -229,8 +216,7 @@ def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether ||a_i b_j - b_j a_i|| passes ``relation_ok`` at max(1, ||a_i|| ||b_j||) times the
     budget for all pairs of two (k, n, n) stacks, in one batched product and one
     ``frobenius_norms`` call per stack; True, with no product, if one is empty."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape((-1,) + a.shape[1:])
+    a, b = np.asarray(a), np.asarray(b)
     if not (len(a) and len(b)):
         return True
     worst = frobenius_norms(a[:, None] @ b[None] - b[None] @ a[:, None])
@@ -290,10 +276,10 @@ def d_frame(v: np.ndarray, units) -> np.ndarray:
     return rows.reshape(v.shape[:-2] + (v.shape[-2] * (len(units) + 1), v.shape[-1]))
 
 
-def _d_frame_inverse(units, n: int, tol: Tolerance):
+def _d_frame_inverse(units: np.ndarray, n: int, tol: Tolerance):
     """Words [I, units...] and X_D^-1 = U S^-1 V^T, (m, 1, #words, n), of the D-frame X_D^T =
     ``d_frame`` of m = n / #words seeded vectors; NoConvergenceError unless it has rank n."""
-    words = as_matrix(np.concatenate([np.eye(n), np.reshape(units, (-1, n))])).reshape(-1, n, n)
+    words = np.concatenate([np.eye(n)[None], units])
     m = n // len(words)
     u, s, vt = svd(d_frame(_spin_draws(n)[:m], words[1:]))
     if tol.rank(s, _CONDITIONING_BUDGET) != n:
@@ -308,7 +294,7 @@ def d_linear_maps(units, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     with the units is fixed by the X x_i, so it lies in the span of the maps; each map is
     checked against each unit, so the span is exactly the commutant or NoConvergenceError.
     """
-    words, inv = _d_frame_inverse(units, n, tol)
+    words, inv = _d_frame_inverse(as_stack(units, n), n, tol)
     maps = (words.transpose(2, 1, 0) @ inv).reshape(-1, n, n)
     if commutes(maps, words[1:], tol):
         return maps
@@ -387,24 +373,14 @@ def strict_interpolate(algebra: MatrixAlgebra, pairs, tol: Tolerance = DEFAULT_T
     """
     if not pairs:
         raise ShapeMismatchError("at least one interpolation pair is required")
-    n = algebra.ambient_dim
-    rows = []
-    rhs = []
-    max_y = 0.0
-    for x, y in pairs:
-        xv = as_vector(x)
-        yv = as_vector(y)
-        if xv.size != n or yv.size != n:
-            raise ShapeMismatchError("interpolation vectors must match the ambient dimension")
-        rows.append((algebra.basis @ xv).T)  # columns indexed by basis element
-        rhs.append(yv)
-        max_y = max(max_y, float(np.linalg.norm(yv)))
-    system = np.vstack(rows)
-    target = np.concatenate(rhs)
-    coeffs, _ = solve_least_squares(system, target, tol)
+    xs, ys = ([as_vector(v) for v in vs] for vs in zip(*pairs))  # each read once
+    if any(v.size != algebra.ambient_dim for v in xs + ys):
+        raise ShapeMismatchError("interpolation vectors must match the ambient dimension")
+    system = np.vstack([(algebra.basis @ x).T for x in xs])  # columns indexed by basis element
+    coeffs, _ = solve_least_squares(system, np.concatenate(ys), tol)
     t = algebra.element(coeffs)
-    worst = max(float(np.linalg.norm(t @ as_vector(x) - as_vector(y))) for x, y in pairs)
-    tol.check_interpolation(worst, max_y)
+    worst = max(float(np.linalg.norm(t @ x - y)) for x, y in zip(xs, ys))
+    tol.check_interpolation(worst, max(float(np.linalg.norm(y)) for y in ys))
     return t
 
 
@@ -421,7 +397,7 @@ def min_rank(algebra: MatrixAlgebra, structure, tol: Tolerance = DEFAULT_TOL) ->
     maximizing ||X_D^-1[i] z_1|| so that K z_1 != 0.  K lies in A, and T0 K T0 has image
     T0 (D x_1) = D z_1, of rank d.
     """
-    units = np.reshape(structure.units, (-1, algebra.ambient_dim, algebra.ambient_dim))
+    units = as_stack(structure.units, algebra.ambient_dim)
     gens = algebra.generators[frobenius_norms(algebra.generators) > tol.abs_eps]
     t0 = gens[0] if len(gens) else (np.eye(algebra.ambient_dim) if algebra.unital else None)
     if t0 is None:

@@ -3,7 +3,9 @@
 All rank decisions in this package reduce to a singular-value zero test, so
 the cutoff policy lives here and is threaded explicitly through every
 operation.  Matrices are plain float64 ndarrays treated as immutable values:
-operations never modify their arguments and always return fresh arrays.
+operations never modify their arguments and always return fresh arrays.  Inputs
+are checked finite only here, and every (k, n, n) stack (a basis, D's units, a
+group representation) is read once, by ``as_stack``.
 ``scipy.linalg`` is imported only by ``svd``'s ``gesvd`` retry.
 """
 
@@ -21,6 +23,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "as_vector",
+    "as_stack",
     "frobenius_norms",
     "rank_of",
     "nullspace_of",
@@ -150,6 +153,24 @@ def as_vector(v) -> np.ndarray:
         raise ShapeMismatchError("expected a nonempty vector")
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("vector contains NaN or Inf entries")
+    return a
+
+
+def as_stack(mats, n: int | None = None) -> np.ndarray:
+    """Copy to a finite, read-only float64 (k, n, n) stack, n >= 1 (any one n if None);
+    an empty sequence is (0, n, n).  ShapeMismatchError for ragged, non-square or
+    wrong-n input, NonFiniteError for NaN or Inf."""
+    try:  # a ragged sequence raises ValueError
+        a = np.array(mats, dtype=float)
+    except ValueError as exc:
+        raise ShapeMismatchError(f"not a stack of equal-shape matrices: {exc}") from exc
+    if n is not None and a.shape[:1] == (0,):
+        a = np.zeros((0, n, n))
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[2] < 1 or n not in (None, a.shape[1]):
+        raise ShapeMismatchError(f"expected a (k, n, n) stack, n = {n}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    a.flags.writeable = False
     return a
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "power_family",
     "asymptotic_certificate",
     "shift_right",
+    "replace_head",
     "window_sum",
     "witness_violates",
 ]
@@ -330,3 +331,10 @@ def shift_right(seq: DimSequence, s: int) -> DimSequence:
         raise ValueError("cannot shift a sequence with an infinite head")
     return DimSequence._from_array(
         np.concatenate((np.zeros(s, seq.values.dtype), seq.values)), seq.infinite_head)
+
+
+def replace_head(seq: DimSequence, head: int) -> DimSequence:
+    """``seq`` with dims[0] = head, a nonnegative integer, in ``seq``'s dtype where it fits."""
+    values = seq.values.astype(seq.values.dtype if 0 <= head < 2 ** 62 else object)
+    values[0] = head
+    return DimSequence._from_array(values)

@@ -18,6 +18,7 @@ from conftest import (
 )
 from lomlab.classify import classify, classify_type, density_degree, envelope
 from lomlab.cli import _check_expectation, run_instance
+from lomlab.construct import GroupRep
 from lomlab.division import (
     AlgebraType,
     DivisionStructure,
@@ -32,11 +33,12 @@ from lomlab.engine import (
     _d_frame_inverse,
     commutant,
     commutes,
+    d_linear_maps,
     generate_algebra,
     is_transitive,
     min_rank,
 )
-from lomlab.errors import NoSolutionError, NotTransitiveError
+from lomlab.errors import NoSolutionError, NotTransitiveError, ShapeMismatchError
 from lomlab.numeric import DEFAULT_TOL, solve_least_squares
 
 # The module, not the function of the same name that the package exports.
@@ -590,3 +592,20 @@ def test_a_near_reducible_pair_just_above_the_cut_is_rejected_only_with_a_witnes
     gens = conjugated_triangular_pair(n, k, log_kappa, 1e-6, seed)
     report = is_transitive(generate_algebra(gens, include_identity=True))
     assert report.transitive or report.witness is not None
+
+
+MISSHAPEN_UNIT = DivisionStructure(AlgebraType.COMPLEX, (np.ones((3, 3)),))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: min_rank(generate_algebra([J2], True), MISSHAPEN_UNIT),
+    lambda: density_degree(generate_algebra([J2], True), MISSHAPEN_UNIT),
+    lambda: envelope(generate_algebra([J2], True), MISSHAPEN_UNIT),
+    lambda: d_linear_maps([np.ones((2, 3))], 2),
+    lambda: GroupRep(4, [np.eye(4)] * 7 + [np.eye(3)]),
+], ids=["min_rank", "density_degree", "envelope", "d_linear_maps", "GroupRep-ragged"])
+def test_a_misshapen_stack_is_a_shape_mismatch(call):
+    # each stack is read by numeric.as_stack, not reshaped or stacked by numpy, so a
+    # unit or matrix of the wrong shape raises ShapeMismatchError, not numpy's ValueError
+    with pytest.raises(ShapeMismatchError):
+        call()

@@ -213,7 +213,7 @@ def test_construct_pcs(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["anti_involution_residual"] == 0.0
         assert report["result"]["commutant_algebra_dim"] == 8
-    assert main(["construct", minimal_pcs(tmp_path, schedule=["nan"])]) == EXIT_PRECONDITION
+    assert main(["construct", minimal_pcs(tmp_path, schedule=[float("nan")])]) == EXIT_PRECONDITION
     assert json.loads(capsys.readouterr().err)["error"] == "BadScheduleError"
 
 
@@ -326,12 +326,36 @@ def rep_pair_without_n_basis(corpus):
     ("classify", lambda c: corpus_payload(
         c, "complex_m2_plain", ambient_dim=1,
         generators=[{"rows": True, "cols": 1, "entries": [2.0]}])),
+    # a float field takes a JSON number, never a string or a boolean
+    ("classify", lambda c: corpus_payload(
+        c, "complex_m2_plain",
+        generators=[dict(g, entries=["1.5", True] + g["entries"][2:])
+                    for g in c["complex_m2_plain"]["generators"]])),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain",
+                                          tolerance={"rel_eps": "1e-9", "abs_eps": 1e-12})),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain",
+                                          tolerance={"rel_eps": 1e-9, "abs_eps": False})),
+    ("construct", lambda c: corpus_payload(c, "pcs_unit", schedule=["2", 1.0])),
+    ("construct", lambda c: corpus_payload(c, "pcs_unit", schedule=[2.0, True])),
+    ("ranges", lambda c: corpus_payload(c, "ranges_power23",
+                                        left=dict(c["ranges_power23"]["left"], floor_power="2"))),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", include_identity="false")),
+    ("classify", lambda c: corpus_payload(c, "complex_m2_plain", include_identity=0)),
+    # an integer literal past the float range cannot be read as a number
+    ("classify", lambda c: corpus_payload(
+        c, "complex_m2_plain",
+        generators=[dict(g, entries=[10 ** 400] + g["entries"][1:])
+                    for g in c["complex_m2_plain"]["generators"]])),
+    ("construct", lambda c: corpus_payload(c, "pcs_unit", schedule=[10 ** 400, 1.0])),
 ], ids=["horizon-1", "p_max-negative", "trials-not-a-number", "trials-negative",
         "seed-not-a-number", "pair-without-n_basis", "seed-negative", "twists-not-a-list",
         "kind-not-a-string", "horizon-fraction", "p_max-fraction", "shift-fraction",
         "dims-fraction", "ambient_dim-fraction", "trials-fraction", "seed-fraction",
         "rows-fraction", "blocks-fraction", "blocks-true", "seed-false", "trials-true",
-        "p_max-true", "dims-true", "head-true", "rows-true"])
+        "p_max-true", "dims-true", "head-true", "rows-true", "entries-string-and-true",
+        "rel_eps-string", "abs_eps-false", "schedule-string", "schedule-true",
+        "floor_power-string", "include_identity-string", "include_identity-number",
+        "entries-past-float", "schedule-past-float"])
 def test_malformed_field_is_parse_error(corpus, tmp_path, capsys, command, build):
     path = write_json(tmp_path, "bad.json", build(corpus))
     assert main([command, path]) == EXIT_PARSE

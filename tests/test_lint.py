@@ -3,9 +3,11 @@
 Every SVD goes through ``numeric.svd`` (which retries where LAPACK's
 ``gesdd`` fails), no pseudo-inverse bypasses it, and every cutoff is taken by
 a ``Tolerance`` method, so a reader learns when lomlab calls a number zero
-from one class; every kernel is cut in one place, ``numeric.nullspace_of``, and
-every span is complemented in one place, ``numeric.orthonormal_rows``, and an
-algebra's orthonormal span is factored in one place, ``engine.MatrixAlgebra``.
+from one class; every input is checked to be finite in ``numeric``, whose
+``as_stack`` reads every matrix stack; every kernel is cut in one place,
+``numeric.nullspace_of``, and every span is complemented in one place,
+``numeric.orthonormal_rows``, and an algebra's orthonormal span is factored in
+one place, ``engine.MatrixAlgebra``.
 An algebra's commutant is computed in ``engine`` only, by the transitivity
 certificate, and read off its report everywhere else; no module builds a
 Kronecker stack.  Every error class is raised somewhere.  The CLI turns a bad
@@ -78,6 +80,18 @@ def test_cutoff_is_taken_only_in_numeric():
         for name, tree in modules() if name != "numeric.py"
         for _, call in calls(tree)
         if isinstance(call.func, ast.Attribute) and call.func.attr == "cutoff"
+    ]
+    assert not offenders, offenders
+
+
+def test_finiteness_is_checked_only_in_numeric():
+    # as_matrix, as_vector and as_stack copy and check an input once; a module that
+    # tests np.isfinite itself is a second copy of that rule
+    offenders = [
+        f"{name}:{call.lineno} in {function}"
+        for name, tree in modules() if name != "numeric.py"
+        for function, call in calls(tree)
+        if dotted(call.func).split(".")[-1] == "isfinite"
     ]
     assert not offenders, offenders
 

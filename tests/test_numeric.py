@@ -17,6 +17,7 @@ from lomlab.numeric import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    as_stack,
     frobenius_norms,
     nullspace_of,
     orthonormal_rows,
@@ -152,6 +153,44 @@ def test_lstsq_shape_mismatch():
 def test_as_matrix_square_check():
     with pytest.raises(ShapeMismatchError):
         as_matrix([[1, 2, 3]], square=True)
+
+
+@pytest.mark.parametrize("mats, n", [
+    ([np.eye(2), np.eye(3)], None),
+    ([np.eye(2), np.eye(3)], 2),
+    (np.ones((2, 2, 3)), None),
+    (np.ones((2, 3, 3)), 2),
+    (np.eye(2), 2),
+    (np.ones((1, 0, 0)), None),
+    ([], None),
+], ids=["ragged", "ragged-with-n", "not-square", "wrong-n", "2-d", "size-0", "empty-without-n"])
+def test_as_stack_rejects_misshapen_input(mats, n):
+    with pytest.raises(ShapeMismatchError):
+        as_stack(mats, n)
+
+
+def test_as_stack_rejects_nonfinite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            as_stack([np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])], 2)
+
+
+def test_as_stack_reads_an_empty_sequence_as_no_matrices_of_size_n():
+    for empty in ([], (), np.zeros((0, 3, 3))):
+        stack = as_stack(empty, 2)
+        assert stack.shape == (0, 2, 2) and stack.dtype == np.float64
+
+
+def test_as_stack_is_a_read_only_copy():
+    mats = np.random.default_rng(0).standard_normal((3, 4, 4))
+    for source in (mats, list(mats), mats.astype(np.float32)):
+        stack = as_stack(source, 4)
+        assert stack.dtype == np.float64 and stack.shape == (3, 4, 4)
+        assert np.array_equal(stack, np.asarray(source, dtype=float))
+        assert not np.shares_memory(stack, mats) and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    assert as_stack(mats).shape == (3, 4, 4)
 
 
 def test_orthonormal_rows():

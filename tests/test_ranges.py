@@ -19,6 +19,7 @@ from lomlab.ranges import (
     check_isomorphism,
     power_family,
     range_weights,
+    replace_head,
     shift_right,
     window_sum,
     witness_violates,
@@ -102,6 +103,15 @@ def test_shift_right():
     assert shifted.dims == (0, 0, 0, 1, 4, 9)
     with pytest.raises(ValueError):
         shift_right(DimSequence((INFINITY, 1)), 1)
+
+
+def test_replace_head():
+    seq = power_family(2.0, 3)
+    assert replace_head(seq, 7).dims == (7, 1, 4, 9) and seq.dims == (INFINITY, 1, 4, 9)
+    assert replace_head(seq, 7).values.dtype == np.int64
+    assert replace_head(seq, 2 ** 63).values.dtype == object
+    with pytest.raises(ValueError, match="not a nonnegative integer"):
+        replace_head(seq, -1)
 
 
 # --- check_isomorphism ----------------------------------------------------------------
